@@ -11,43 +11,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import Episode, PolicyBackend, run_episode
+from .engine import FAILURE_NOTICE_PREFIXES, run_episode, score_episode
 from .evaluation import (
     TaskFileError,
+    TaskRecord,
     evaluate,
     load_tasks,
     report,
     write_episode_log,
 )
-from .policies import HttpPolicy, ScriptedPolicy
+from .policies import policy_factory
 from .pool import token_count
 from .protocol import (
     BlockKind,
-    ParseFailure,
+    DirectiveError,
     extract_answer,
     parse_route_directive,
-    parse_trajectory,
     validate_format,
-    DirectiveError,
 )
-from .rewards import (
-    CostWindow,
-    compose_breakdown,
-    cost_reward,
-    exact_match,
-    format_reward,
-)
-from .trainer import LearnedRoutingPolicy, PolicyParams, train
-
-# Info texts the engine injects for failed routes carry no billable tokens;
-# the offline audit recognizes them by prefix.
-_ZERO_COST_INFO_PREFIXES = ("Routing error", "No assistance available")
+from .rewards import CostWindow, cost_reward
+from .trainer import train
 
 
 class CliError(Exception):
@@ -60,69 +46,6 @@ def _load_config(args: argparse.Namespace, overrides: dict) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _policy_factory(run: RunConfig):
-    """Build a per-task policy constructor from the config's policy section."""
-    section = run.policy
-    kind = section.get("kind")
-    if kind == "scripted":
-        script = section.get("script")
-        script_path = section.get("script_path")
-        if script_path:
-            with open(os.path.join(run.base_dir, script_path), encoding="utf-8") as f:
-                script = json.load(f)
-        if script is None:
-            script = []
-        if isinstance(script, dict):
-            by_id = script
-            default = by_id.get("default", [])
-
-            def factory(task):
-                task_id = getattr(task, "id", None)
-                return ScriptedPolicy(by_id.get(task_id, default))
-
-            return factory
-        if not isinstance(script, list):
-            raise CliError("scripted policy: script must be a list or mapping")
-        return lambda task: ScriptedPolicy(script)
-    if kind == "params":
-        path = section.get("path")
-        if not path:
-            raise CliError("params policy: 'path' is required")
-        with open(os.path.join(run.base_dir, path), encoding="utf-8") as f:
-            params = PolicyParams.from_json(f.read())
-
-        def factory(task):
-            rng = np.random.default_rng(run.seed)
-            return LearnedRoutingPolicy(
-                params,
-                task.question,
-                run.pool,
-                rng,
-                run.engine.lexicon,
-                max_steps=run.engine.max_routing_steps,
-            )
-
-        return factory
-    if kind == "http":
-        model = section.get("model")
-        if not model:
-            raise CliError("http policy: 'model' is required")
-        kwargs = {
-            key: section[key]
-            for key in ("url_env", "api_key_env", "temperature", "timeout_ms")
-            if key in section
-        }
-        return lambda task: HttpPolicy(model, **kwargs)
-    raise CliError(f"unknown policy kind {kind!r}")
-
-
-class _QuestionOnly:
-    def __init__(self, question: str, golds):
-        self.question = question
-        self.golds = golds
-        self.id = None
-
-
 def cmd_route(args: argparse.Namespace) -> int:
     run = _load_config(
         args,
@@ -132,8 +55,8 @@ def cmd_route(args: argparse.Namespace) -> int:
             "seed": args.seed,
         },
     )
-    factory = _policy_factory(run)
-    task = _QuestionOnly(args.question, args.gold or None)
+    factory = policy_factory(run)
+    task = TaskRecord(id=None, question=args.question, golds=args.gold or None)
     window = CostWindow(run.reward.window_capacity)
     for cost in run.eval_warmup_costs:
         cost_reward(window, cost, run.reward)
@@ -158,7 +81,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args, {"reward.alpha": args.alpha, "seed": args.seed}
     )
     tasks = load_tasks(args.tasks)
-    factory = _policy_factory(run)
+    factory = policy_factory(run)
     summary, episodes = evaluate(
         tasks,
         factory,
@@ -224,7 +147,7 @@ def _reconstruct_cost(trajectory, run: RunConfig) -> float:
         elif block.kind is BlockKind.INFO:
             interior = block.text.strip()
             if pending is not None and not interior.startswith(
-                _ZERO_COST_INFO_PREFIXES
+                FAILURE_NOTICE_PREFIXES
             ):
                 cost += pending.cost_per_token * token_count(interior)
             pending = None
@@ -253,19 +176,14 @@ def cmd_reward_check(args: argparse.Namespace) -> int:
             raise CliError(f"{args.file}:{line_no}: bad trajectory row: {exc}")
         golds = row.get("golden_answers")
         verdict = validate_format(raw, lexicon, run.pool)
-        outcome = 0.0
-        cost_raw = 0.0
-        try:
-            trajectory = parse_trajectory(raw, lexicon)
-            answer = extract_answer(trajectory)
-            if answer is not None and golds:
-                outcome = float(exact_match(answer, golds))
-            cost_raw = _reconstruct_cost(trajectory, run)
-        except ParseFailure:
-            pass
-        cost_norm = cost_reward(window, cost_raw, run.reward)
-        breakdown = compose_breakdown(
-            format_reward(verdict), outcome, cost_raw, cost_norm, run.reward.alpha
+        trajectory = verdict.trajectory
+        breakdown = score_episode(
+            verdict,
+            extract_answer(trajectory) if trajectory else None,
+            golds,
+            _reconstruct_cost(trajectory, run) if trajectory else 0.0,
+            window,
+            run.reward,
         )
         record = {
             "id": row.get("id", line_no),

@@ -20,7 +20,6 @@ from .pool import (
     RoutingPool,
     dispatch,
     token_count,
-    truncate_tokens,
 )
 from .protocol import (
     DEFAULT_LEXICON,
@@ -31,9 +30,8 @@ from .protocol import (
     extract_answer,
     loss_mask,
     parse_route_directive,
-    parse_trajectory,
+    parse_trajectory,  # noqa: F401 - perfbench/tracer.py hooks this name
     validate_format,
-    ParseFailure,
 )
 from .rewards import (
     CostWindow,
@@ -49,13 +47,13 @@ from .rewards import (
 # Info text injected when a dispatched call fails at the backend.
 NO_ASSISTANCE_TEXT = "No assistance available for this step."
 
+# Prefixes of the info notices the engine injects for failed routes (see
+# ``NO_ASSISTANCE_TEXT`` and ``_directive_error_notice``); they bill nothing.
+FAILURE_NOTICE_PREFIXES = ("Routing error", "No assistance available")
+
 # Info prefixes that carry no usable answer; policies may use these to tell
 # helpful replies apart from canned failure notices.
-UNHELPFUL_INFO_PREFIXES = (
-    "Routing error",
-    "No assistance available",
-    "I am unable to assist",
-)
+UNHELPFUL_INFO_PREFIXES = FAILURE_NOTICE_PREFIXES + ("I am unable to assist",)
 
 PROMPT_TEMPLATE = (
     "Answer the given question. Every time you receive new information, you "
@@ -248,6 +246,30 @@ def _fit_info_to_budget(
         info_text = " ".join(words[: max(0, len(words) - overflow)])
 
 
+def score_episode(
+    verdict: FormatVerdict,
+    final_answer: Optional[str],
+    golds: Optional[list[str]],
+    cost_raw: float,
+    window: CostWindow,
+    reward_config: RewardConfig,
+) -> RewardBreakdown:
+    """Score one finished trajectory: format gate, exact match, cost term.
+
+    A missing answer or missing golds score outcome 0.  ``cost_raw`` is
+    pushed into ``window`` whatever the verdict.
+    """
+    outcome = (
+        float(exact_match(final_answer, golds))
+        if final_answer is not None and golds
+        else 0.0
+    )
+    cost_norm = cost_reward(window, cost_raw, reward_config)
+    return compose_breakdown(
+        format_reward(verdict), outcome, cost_raw, cost_norm, reward_config.alpha
+    )
+
+
 def run_episode(
     question: str,
     golds: Optional[list[str]],
@@ -293,23 +315,17 @@ def run_episode(
         )
 
     verdict = validate_format(trajectory_text, lexicon, pool)
-    try:
-        trajectory = parse_trajectory(trajectory_text, lexicon)
-    except ParseFailure:
-        trajectory = None
+    trajectory = verdict.trajectory
     final_answer = extract_answer(trajectory) if trajectory else None
-    cost_raw = episode_cost_raw(calls)
-
     rewards: Optional[RewardBreakdown] = None
     if golds is not None:
-        outcome = (
-            float(exact_match(final_answer, golds))
-            if final_answer is not None
-            else 0.0
-        )
-        cost_norm = cost_reward(window, cost_raw, reward_config)
-        rewards = compose_breakdown(
-            format_reward(verdict), outcome, cost_raw, cost_norm, reward_config.alpha
+        rewards = score_episode(
+            verdict,
+            final_answer,
+            golds,
+            episode_cost_raw(calls),
+            window,
+            reward_config,
         )
 
     return Episode(

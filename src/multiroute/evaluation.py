@@ -23,9 +23,11 @@ class DuplicateTaskIdError(TaskFileError):
 
 @dataclass
 class TaskRecord:
-    id: str
+    """One question; ``id`` and ``golds`` are None for ad-hoc questions."""
+
+    id: Optional[str]
     question: str
-    golds: list[str]
+    golds: Optional[list[str]]
 
 
 def load_tasks(path: str) -> list[TaskRecord]:

@@ -2,16 +2,22 @@
 
 The learned-parameters policy lives in the trainer module; these two cover
 deterministic replay (tests, demos, audits) and driving a served model.
+``policy_factory`` builds any of the three from a run config's policy
+section, for the CLI and the HTTP service alike.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import time
 from typing import Optional
 
+import numpy as np
+
+from .config import ConfigError, RunConfig
 from .engine import PolicyBackend
-from .pool import BackendError, _chat_completion
+from .pool import chat_completion
+from .trainer import LearnedRoutingPolicy, PolicyParams
 
 
 class ScriptedPolicy(PolicyBackend):
@@ -65,13 +71,9 @@ class HttpPolicy(PolicyBackend):
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
     ) -> str:
-        url = os.environ.get(self.url_env)
-        if not url:
-            raise BackendError(0, f"environment variable {self.url_env} is not set")
-        api_key = os.environ.get(self.api_key_env, "")
-        text, _, finish_reason = _chat_completion(
-            url,
-            api_key,
+        text, _, finish_reason = chat_completion(
+            self.url_env,
+            self.api_key_env,
             self.model,
             context,
             max_tokens,
@@ -99,3 +101,57 @@ class HttpPolicy(PolicyBackend):
                 if best is None or at > best[0]:
                     best = (at, marker)
         return best[1] if best else stop_markers[0]
+
+
+def policy_factory(run: RunConfig):
+    """Build a ``TaskRecord -> PolicyBackend`` factory from the policy section.
+
+    Raises:
+        ConfigError: unknown policy kind or a malformed section.
+    """
+    section = run.policy
+    kind = section.get("kind")
+    if kind == "scripted":
+        script = section.get("script")
+        script_path = section.get("script_path")
+        if script_path:
+            with open(os.path.join(run.base_dir, script_path), encoding="utf-8") as f:
+                script = json.load(f)
+        if script is None:
+            script = []
+        if isinstance(script, dict):
+            default = script.get("default", [])
+            return lambda task: ScriptedPolicy(script.get(task.id, default))
+        if not isinstance(script, list):
+            raise ConfigError("scripted policy: script must be a list or mapping")
+        return lambda task: ScriptedPolicy(script)
+    if kind == "params":
+        path = section.get("path")
+        if not path:
+            raise ConfigError("params policy: 'path' is required")
+        with open(os.path.join(run.base_dir, path), encoding="utf-8") as f:
+            params = PolicyParams.from_json(f.read())
+
+        def factory(task):
+            rng = np.random.default_rng(run.seed)
+            return LearnedRoutingPolicy(
+                params,
+                task.question,
+                run.pool,
+                rng,
+                run.engine.lexicon,
+                max_steps=run.engine.max_routing_steps,
+            )
+
+        return factory
+    if kind == "http":
+        model = section.get("model")
+        if not model:
+            raise ConfigError("http policy: 'model' is required")
+        kwargs = {
+            key: section[key]
+            for key in ("url_env", "api_key_env", "temperature", "timeout_ms")
+            if key in section
+        }
+        return lambda task: HttpPolicy(model, **kwargs)
+    raise ConfigError(f"unknown policy kind {kind!r}")

@@ -150,9 +150,39 @@ class SimulatedBackend:
         return prompt[marker_at + len(SUB_QUERY_MARKER) :].strip()
 
 
-def _chat_completion(
-    url: str,
-    api_key: str,
+def _reply_fields(body) -> tuple[str, Optional[int], Optional[str]]:
+    """Read (text, completion_tokens, finish_reason) from a 200 reply body.
+
+    A body with no usable first choice raises BackendError.  A usage count
+    that is not a non-negative int is dropped, so dispatch measures the text.
+    """
+    if not isinstance(body, dict):
+        raise BackendError(200, "reply body is not a JSON object")
+    choices = body.get("choices")
+    if not isinstance(choices, list) or not choices:
+        raise BackendError(200, "reply has no choices")
+    choice = choices[0]
+    if not isinstance(choice, dict):
+        raise BackendError(200, "reply choice is not an object")
+    if "message" in choice:
+        message = choice["message"]
+        if not isinstance(message, dict):
+            raise BackendError(200, "reply message is not an object")
+        text = message.get("content") or ""
+    else:
+        text = choice.get("text") or ""
+    if not isinstance(text, str):
+        raise BackendError(200, "reply text is not a string")
+    usage = body.get("usage")
+    tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+    if type(tokens) is not int or tokens < 0:
+        tokens = None
+    return text, tokens, choice.get("finish_reason")
+
+
+def chat_completion(
+    url_env: str,
+    api_key_env: str,
     model: str,
     prompt: str,
     max_tokens: int,
@@ -162,9 +192,16 @@ def _chat_completion(
 ) -> tuple[str, Optional[int], Optional[str]]:
     """POST one chat completion; returns (text, completion_tokens, finish_reason).
 
-    Retries once on timeout, connection failure, or 5xx, then raises
-    BackendTimeout / BackendError.
+    The endpoint URL and API key are read from the environment variables
+    named by ``url_env`` and ``api_key_env`` at call time, so credentials
+    never live in config files.  Retries once on timeout, connection
+    failure, or 5xx, then raises BackendTimeout / BackendError; an unset URL,
+    a non-200 reply or a malformed 200 body raises BackendError.
     """
+    url = os.environ.get(url_env)
+    if not url:
+        raise BackendError(0, f"environment variable {url_env} is not set")
+    api_key = os.environ.get(api_key_env, "")
     payload = {
         "model": model,
         "messages": [{"role": "user", "content": prompt}],
@@ -195,15 +232,11 @@ def _chat_completion(
             continue
         if response.status_code != 200:
             raise BackendError(response.status_code, response.text[:200])
-        body = response.json()
-        choice = body["choices"][0]
-        if "message" in choice:
-            text = choice["message"].get("content") or ""
-        else:
-            text = choice.get("text") or ""
-        usage = body.get("usage") or {}
-        tokens = usage.get("completion_tokens")
-        return text, tokens, choice.get("finish_reason")
+        try:
+            body = response.json()
+        except ValueError:
+            raise BackendError(200, "reply body is not JSON") from None
+        return _reply_fields(body)
 
     if last_status is not None:
         raise BackendError(last_status, "retried once")
@@ -232,14 +265,10 @@ class HttpBackend:
     def complete(
         self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0
     ) -> tuple[str, Optional[int], Optional[float]]:
-        url = os.environ.get(self.url_env)
-        if not url:
-            raise BackendError(0, f"environment variable {self.url_env} is not set")
-        api_key = os.environ.get(self.api_key_env, "")
         started = time.perf_counter()
-        text, tokens, _ = _chat_completion(
-            url,
-            api_key,
+        text, tokens, _ = chat_completion(
+            self.url_env,
+            self.api_key_env,
             self.model,
             prompt,
             max_tokens,

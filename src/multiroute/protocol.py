@@ -171,6 +171,7 @@ class Violation:
 class FormatVerdict:
     ok: bool
     violations: list[Violation]
+    trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     @property
     def violated_rules(self) -> set[FormatRule]:
@@ -270,7 +271,8 @@ def validate_format(
     """Check the five structural rules; returns all violations found.
 
     A parse failure short-circuits to a single TAG_BALANCE violation since
-    the remaining rules are defined over the block sequence.
+    the remaining rules are defined over the block sequence.  Otherwise the
+    verdict carries the parsed ``trajectory`` so callers need not parse again.
     """
     try:
         trajectory = parse_trajectory(raw, lexicon)
@@ -369,7 +371,9 @@ def validate_format(
                 Violation(FormatRule.ROUTE_DIRECTIVE, str(exc), block.span[0])
             )
 
-    return FormatVerdict(ok=not violations, violations=violations)
+    return FormatVerdict(
+        ok=not violations, violations=violations, trajectory=trajectory
+    )
 
 
 def loss_mask(trajectory: Trajectory) -> list[tuple[int, int]]:

@@ -4,7 +4,8 @@ POST /route with {"question": ..., "golds": [...]} runs one episode and
 returns its record; rewards are included only when golds are supplied.
 GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
-requests.
+requests.  A request body must declare a Content-Length of at most
+``MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
@@ -16,18 +17,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import RunConfig
 from .engine import run_episode
+from .evaluation import TaskRecord
+from .policies import policy_factory
 from .rewards import CostWindow, cost_reward
+
+MAX_BODY_BYTES = 1 << 20
 
 
 class RoutingHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address, run: RunConfig, max_inflight: int):
-        from .cli import _policy_factory
-
         super().__init__(address, _Handler)
         self.run_config = run
-        self.policy_factory = _policy_factory(run)
+        self.policy_factory = policy_factory(run)
         self.window = CostWindow(run.reward.window_capacity)
         for cost in run.eval_warmup_costs:
             cost_reward(self.window, cost, run.reward)
@@ -62,6 +65,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
             question = payload["question"]
             if not isinstance(question, str) or not question.strip():
@@ -81,10 +93,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(503, {"error": "too many in-flight requests"})
             return
         try:
-            from .cli import _QuestionOnly
-
             run = self.server.run_config
-            task = _QuestionOnly(question, golds)
+            task = TaskRecord(id=None, question=question, golds=golds)
             policy = self.server.policy_factory(task)
             episode = run_episode(
                 question,

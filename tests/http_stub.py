@@ -9,7 +9,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class ScriptedChatHandler(BaseHTTPRequestHandler):
-    """Pops one scripted step per POST: {"status", "body", "sleep"?}."""
+    """Pops one scripted step per POST: {"status", "body" | "raw", "sleep"?}.
+
+    ``body`` is sent JSON-encoded; ``raw`` is sent as the given text as is.
+    """
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -21,7 +24,10 @@ class ScriptedChatHandler(BaseHTTPRequestHandler):
             step = self.server.script.pop(0)
         if step.get("sleep"):
             time.sleep(step["sleep"])
-        body = json.dumps(step.get("body", {})).encode()
+        if "raw" in step:
+            body = step["raw"].encode()
+        else:
+            body = json.dumps(step.get("body", {})).encode()
         try:
             self.send_response(step.get("status", 200))
             self.send_header("Content-Type", "application/json")

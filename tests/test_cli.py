@@ -7,7 +7,10 @@ import json
 import pytest
 
 from multiroute.cli import main
+from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
 from multiroute.evaluation import parse_report
+from multiroute.pool import UNABLE_RESPONSE, token_count
+from multiroute.protocol import DirectiveError, DirectiveErrorKind
 from multiroute.rewards import normalize_answer
 from multiroute.trainer import PolicyParams, make_synthetic_tasks
 
@@ -381,6 +384,86 @@ def test_reward_check_scores_logged_trajectories(workdir, capsys):
         "starts_think_ends_answer",
         "think_answer_count",
     }
+
+
+ROUTING_NOTICE = _directive_error_notice(
+    DirectiveError(DirectiveErrorKind.UNKNOWN_MODEL, "unknown model", name="GPT-9")
+)
+
+
+@pytest.mark.parametrize(
+    "info, billed",
+    [(NO_ASSISTANCE_TEXT, False), (ROUTING_NOTICE, False), (UNABLE_RESPONSE, True)],
+    ids=["no-assistance-notice", "routing-error-notice", "unable-reply"],
+)
+def test_reward_check_bills_replies_but_not_engine_notices(
+    workdir, capsys, info, billed
+):
+    raw = (
+        "<think>route</think>"
+        f"<search>LLaMA-3.1-70B-Instruct: {FILM_Q}</search>"
+        f"<information>{info}</information>"
+        "<think>guess</think><answer>x</answer>"
+    )
+    audit = workdir / "audit.jsonl"
+    audit.write_text(json.dumps({"raw": raw, "golden_answers": [FILM_GOLD]}) + "\n")
+    code = main(
+        ["reward-check", "--config", str(workdir / "eval.json"), "--file", str(audit)]
+    )
+    assert code == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["ok"] is True
+    assert row["cost_raw"] == (0.9 * token_count(info) if billed else 0.0)
+
+
+AUDITED_SCRIPTS = {
+    # The 8B model cannot answer (a billed refusal), the 70B model can.
+    "answered": [
+        "<think>Try the small model.</think>\n"
+        f"<search>LLaMA-3.1-8B-Instruct: {FILM_Q}</search>",
+        "<think>Try the large model.</think>\n"
+        f"<search>LLaMA-3.1-70B-Instruct: {FILM_Q}</search>",
+        f"<think>Done.</think>\n<answer>{FILM_GOLD}</answer>",
+    ],
+    # An unknown model: a zero-cost routing notice and a format failure.
+    "misrouted": [
+        f"<think>Ask.</think>\n<search>GPT-9: {FILM_Q}</search>",
+        "<think>Guess.</think>\n<answer>Sacred Silence</answer>",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED_SCRIPTS))
+def test_reward_check_reproduces_an_episodes_rewards(tmp_path, capsys, name):
+    cfg = tmp_path / "audit.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "pool": _pool_mapping(),
+                "reward": {"alpha": 0.5},
+                "eval_warmup_costs": [0.0, 4.0, 30.0, 100.0],
+                "policy": {"kind": "scripted", "script": AUDITED_SCRIPTS[name]},
+            }
+        )
+    )
+    code = main(
+        ["route", "--config", str(cfg), "--question", FILM_Q, "--gold", FILM_GOLD]
+    )
+    assert code == 0
+    episode = json.loads(capsys.readouterr().out)
+    audit = tmp_path / "audit.jsonl"
+    audit.write_text(
+        json.dumps(
+            {"raw": episode["raw_trajectory"], "golden_answers": [FILM_GOLD]}
+        )
+        + "\n"
+    )
+    code = main(["reward-check", "--config", str(cfg), "--file", str(audit)])
+    assert code == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert episode["route_count"] == len(AUDITED_SCRIPTS[name]) - 1
+    for key in ("format", "outcome", "cost_raw", "cost_norm", "total"):
+        assert checked[key] == episode["rewards"][key], key
 
 
 def test_reward_check_rejects_bad_rows(workdir, capsys):

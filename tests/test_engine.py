@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import multiroute.protocol as protocol
 from multiroute.engine import (
     NO_ASSISTANCE_TEXT,
     EmptyPoolError,
@@ -16,6 +18,7 @@ from multiroute.engine import (
 from multiroute.policies import HttpPolicy, ScriptedPolicy
 from multiroute.pool import (
     BackendTimeout,
+    HttpBackend,
     ModelDescriptor,
     RoutingPool,
     token_count,
@@ -432,3 +435,98 @@ def test_engine_config_validation():
         EngineConfig(max_routing_steps=0)
     with pytest.raises(ValueError):
         EngineConfig(max_sequence_tokens=100, max_api_response_tokens=200)
+
+
+# ---------------------------------------------------------------------------
+# one parse per episode
+# ---------------------------------------------------------------------------
+
+
+def test_run_episode_parses_the_trajectory_once(case_pool, monkeypatch):
+    # Count calls to the one function, whatever module name they go through.
+    original = protocol.parse_trajectory
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multiroute" and (
+            getattr(module, "parse_trajectory", None) is original
+        ):
+            monkeypatch.setattr(module, "parse_trajectory", counting)
+    episode = run_episode(
+        QUESTION, GOLDS, _single_route_script(), case_pool, _window()
+    )
+    assert episode.rewards.outcome == 1.0
+    assert calls == [episode.raw_trajectory]
+    assert episode.trajectory is episode.verdict.trajectory
+
+
+# ---------------------------------------------------------------------------
+# malformed 200 replies from an HTTP backend
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "step, error",
+    [
+        ({"body": {"usage": {"completion_tokens": 3}}}, "no choices"),
+        ({"body": {"choices": []}}, "no choices"),
+        ({"body": {"choices": {"text": "a b c"}}}, "no choices"),
+        ({"body": {"choices": ["a b c"]}}, "choice is not an object"),
+        ({"body": {"choices": [{"message": "a b c"}]}}, "message is not an object"),
+        ({"body": {"choices": [{"text": 7}]}}, "text is not a string"),
+        ({"body": ["a b c"]}, "not a JSON object"),
+        ({"raw": "<html>bad gateway</html>"}, "not JSON"),
+        ({"body": chat_body("a b c", tokens=-5)}, None),
+        ({"body": chat_body("a b c", tokens="7")}, None),
+        ({"body": chat_body("a b c", tokens=True)}, None),
+        ({"body": chat_body("a b c", tokens=7.0)}, None),
+    ],
+    ids=[
+        "no-choices",
+        "empty-choices",
+        "choices-not-a-list",
+        "choice-not-an-object",
+        "message-not-an-object",
+        "text-not-a-string",
+        "body-not-an-object",
+        "body-not-json",
+        "negative-usage",
+        "string-usage",
+        "bool-usage",
+        "float-usage",
+    ],
+)
+def test_malformed_http_reply_does_not_escape_the_episode(monkeypatch, step, error):
+    server = start_scripted_server([dict(step, status=200)])
+    monkeypatch.setenv("MULTIROUTE_API_URL", server.url)
+    pool = RoutingPool(
+        [ModelDescriptor("r", "Remote-70B", 70, 2.0, "remote", HttpBackend("r"))]
+    )
+    policy = ScriptedPolicy(
+        [
+            "<think>t</think><search>Remote-70B: anything?</search>",
+            "<think>t</think><answer>unknown</answer>",
+        ]
+    )
+    try:
+        episode = run_episode("Q?", ["x"], policy, pool, _window())
+    finally:
+        stop_server(server)
+    assert len(server.received) == 1
+    assert episode.verdict.ok
+    assert episode.rewards is not None
+    call = episode.calls[0]
+    if error is None:
+        assert call.error is None
+        assert call.response_text == "a b c"
+        assert call.output_tokens == 3
+        assert call.cost == pytest.approx(6.0)
+    else:
+        assert error in call.error
+        assert call.output_tokens == 0
+        assert call.cost == 0.0
+        assert NO_ASSISTANCE_TEXT in episode.raw_trajectory

@@ -1,0 +1,61 @@
+"""Package modules use each other only through public names.
+
+A ``_``-prefixed name is private to the module that defines it; importing
+one from another package module couples the two on an implementation
+detail.  This test parses every module under ``src/multiroute/`` and fails on
+any such import.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = "multiroute"
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+
+
+def private_imports(source: str, filename: str = "<source>") -> list[str]:
+    """``from <package module> import _name`` statements in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != PACKAGE:
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not name.endswith("__"):
+                found.append(
+                    f"{filename}:{node.lineno}: "
+                    f"from {'.' * node.level}{module} import {name}"
+                )
+    return found
+
+
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def test_package_modules_are_found():
+    assert {"cli.py", "engine.py", "serve.py"} <= {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_imports_no_private_names(path):
+    assert private_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_checker_flags_relative_and_absolute_private_imports():
+    source = (
+        "from .cli import _policy_factory\n"
+        "from multiroute.pool import chat_completion, _reply_fields\n"
+        "from . import __version__\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(source) == [
+        "<source>:1: from .cli import _policy_factory",
+        "<source>:2: from multiroute.pool import _reply_fields",
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -10,7 +11,7 @@ import requests
 
 from multiroute.config import load_run_config
 from multiroute.rewards import normalize_answer
-from multiroute.serve import build_server
+from multiroute.serve import MAX_BODY_BYTES, build_server
 
 FILM_Q = (
     "Which film was released more recently, Sacred Silence or "
@@ -187,3 +188,21 @@ def test_episode_failure_returns_500(tmp_path, monkeypatch):
     finally:
         instance.shutdown()
         instance.server_close()
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [("-1", 400), ("ten", 400), (str(MAX_BODY_BYTES + 1), 413)],
+)
+def test_bad_content_length_is_answered_without_reading_the_body(
+    server, length, status
+):
+    # A server that tries to read the body waits for bytes that never come;
+    # the socket timeout turns that wait into a test failure.
+    with socket.create_connection(("127.0.0.1", server.server_port), timeout=5) as sock:
+        sock.sendall(
+            f"POST /route HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        status_line = sock.makefile("rb").readline()
+    assert status_line.split()[1] == str(status).encode()
