@@ -19,6 +19,7 @@ from .evaluation import (
     TaskFileError,
     TaskRecord,
     evaluate,
+    is_gold_list,
     load_tasks,
     report,
     write_episode_log,
@@ -40,15 +41,9 @@ class CliError(Exception):
     pass
 
 
-def _load_config(args: argparse.Namespace, overrides: dict) -> RunConfig:
-    if not args.config:
-        raise CliError("--config is required")
-    return load_run_config(args.config, overrides)
-
-
 def cmd_route(args: argparse.Namespace) -> int:
-    run = _load_config(
-        args,
+    run = load_run_config(
+        args.config,
         {
             "reward.alpha": args.alpha,
             "engine.max_routing_steps": args.max_routing_steps,
@@ -77,8 +72,8 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run = _load_config(
-        args, {"reward.alpha": args.alpha, "seed": args.seed}
+    run = load_run_config(
+        args.config, {"reward.alpha": args.alpha, "seed": args.seed}
     )
     tasks = load_tasks(args.tasks)
     factory = policy_factory(run)
@@ -100,8 +95,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = _load_config(
-        args,
+    run = load_run_config(
+        args.config,
         {
             "reward.alpha": args.alpha,
             "trainer.steps": args.steps,
@@ -155,7 +150,7 @@ def _reconstruct_cost(trajectory, run: RunConfig) -> float:
 
 
 def cmd_reward_check(args: argparse.Namespace) -> int:
-    run = _load_config(args, {"reward.alpha": args.alpha})
+    run = load_run_config(args.config, {"reward.alpha": args.alpha})
     window = CostWindow(run.reward.window_capacity)
     for cost in run.eval_warmup_costs:
         cost_reward(window, cost, run.reward)
@@ -169,12 +164,17 @@ def cmd_reward_check(args: argparse.Namespace) -> int:
         line = line.strip()
         if not line:
             continue
+        where = f"{args.file}:{line_no}"
         try:
             row = json.loads(line)
             raw = row["raw"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CliError(f"{args.file}:{line_no}: bad trajectory row: {exc}")
+            raise CliError(f"{where}: bad trajectory row: {exc}")
+        if not isinstance(raw, str):
+            raise CliError(f"{where}: raw must be a string")
         golds = row.get("golden_answers")
+        if golds is not None and not is_gold_list(golds):
+            raise CliError(f"{where}: golden_answers must be a nonempty string list")
         verdict = validate_format(raw, lexicon, run.pool)
         trajectory = verdict.trajectory
         breakdown = score_episode(
@@ -198,7 +198,7 @@ def cmd_reward_check(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import serve_forever
 
-    run = _load_config(args, {"seed": args.seed})
+    run = load_run_config(args.config, {"seed": args.seed})
     host, _, port = args.bind.rpartition(":")
     if not host or not port.isdigit():
         raise CliError(f"--bind must be host:port, got {args.bind!r}")

@@ -2,12 +2,14 @@
 
 A run config gathers everything a CLI command needs.  Paths inside a config
 file resolve relative to the file's own directory.  Command-line flags
-override config values, which override built-in defaults.
+override config values, which override built-in defaults.  Each section is
+built by the class that owns it and holds its defaults (``build_section``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,7 +24,7 @@ from .pool import (
     load_knowledge_base,
 )
 from .protocol import DEFAULT_LEXICON, TagLexicon
-from .rewards import RewardConfig
+from .rewards import RewardConfig, normalize_answer
 from .trainer import TrainConfig
 
 
@@ -30,10 +32,58 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: {type(value).__name__} is not a JSON object")
+    return value
+
+
+def build_section(cls, section, context: str, **fixed):
+    """Build ``cls(**section, **fixed)`` from one config section.
+
+    Raises:
+        ConfigError: the section is not an object, or ``cls`` rejects a key or
+            value with a TypeError, ValueError or OverflowError.
+    """
+    _object(section, context)
+    try:
+        return cls(**section, **fixed)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
+def _build_backend(section, context: str, base_dir: str):
+    fields = dict(_object(section, f"{context}: backend"))
+    kind = fields.pop("type", None)
+    if kind == "sim":
+        kb = fields.pop("kb", {})
+        kb_path = fields.pop("kb_path", None)
+        if kb_path:
+            try:
+                kb = load_knowledge_base(os.path.join(base_dir, kb_path))
+            except (OSError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{context}: {exc}")
+        else:
+            kb = {
+                normalize_answer(str(key)): str(answer)
+                for key, answer in _object(kb, f"{context}: kb").items()
+            }
+        profile = build_section(SimulatedProfile, fields, context, knowledge_base=kb)
+        return SimulatedBackend(profile)
+    if kind == "http":
+        return build_section(HttpBackend, fields, context)
+    raise ConfigError(f"{context}: unknown backend type {kind!r}")
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON file at ``path``; ``what`` names it in a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path}: invalid JSON: {exc}")
 
 
 def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
@@ -41,80 +91,36 @@ def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
     if isinstance(source, str):
         path = os.path.join(base_dir, source)
         base_dir = os.path.dirname(path) or "."
-        try:
-            with open(path, encoding="utf-8") as handle:
-                source = json.load(handle)
-        except FileNotFoundError:
-            raise ConfigError(f"pool config not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"pool config {path}: invalid JSON: {exc}")
-    if not isinstance(source, dict):
-        raise ConfigError("pool config must be a JSON object")
-    models = _require(source, "models", "pool config")
+        source = read_json(path, "pool config")
+    models = _object(source, "pool config").get("models")
     if not isinstance(models, list) or not models:
         raise ConfigError("pool config: models must be a nonempty list")
     pool = RoutingPool()
     for i, entry in enumerate(models):
         context = f"pool model #{i}"
-        backend_cfg = _require(entry, "backend", context)
-        kind = _require(backend_cfg, "type", context)
-        if kind == "sim":
-            kb = backend_cfg.get("kb", {})
-            kb_path = backend_cfg.get("kb_path")
-            if kb_path:
-                try:
-                    kb = load_knowledge_base(os.path.join(base_dir, kb_path))
-                except (OSError, ValueError) as exc:
-                    raise ConfigError(f"{context}: {exc}")
-            backend = SimulatedBackend(
-                SimulatedProfile(
-                    knowledge_base=kb,
-                    accuracy=float(backend_cfg.get("accuracy", 1.0)),
-                    verbosity=int(backend_cfg.get("verbosity", 16)),
-                    seed=int(backend_cfg.get("seed", 0)),
-                )
-            )
-        elif kind == "http":
-            backend = HttpBackend(
-                model=str(_require(backend_cfg, "model", context)),
-                url_env=str(backend_cfg.get("url_env", "MULTIROUTE_API_URL")),
-                api_key_env=str(
-                    backend_cfg.get("api_key_env", "MULTIROUTE_API_KEY")
-                ),
-                temperature=float(backend_cfg.get("temperature", 0.0)),
-            )
-        else:
-            raise ConfigError(f"{context}: unknown backend type {kind!r}")
+        fields = dict(_object(entry, context))
+        backend = _build_backend(fields.pop("backend", None), context, base_dir)
+        fields.setdefault("display_name", fields.get("id"))
+        descriptor = build_section(ModelDescriptor, fields, context, backend=backend)
         try:
-            descriptor = ModelDescriptor(
-                id=str(_require(entry, "id", context)),
-                display_name=str(entry.get("display_name", entry["id"])),
-                param_count_b=float(_require(entry, "param_count_b", context)),
-                cost_per_token=float(_require(entry, "cost_per_token", context)),
-                descriptor_text=str(_require(entry, "descriptor_text", context)),
-                backend=backend,
-            )
             pool.register(descriptor)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}")
     return pool
 
 
-def _lexicon_from(config: dict) -> TagLexicon:
-    pairs = {}
+def _lexicon_from(section) -> TagLexicon:
+    _object(section, "lexicon")
+    fields = {}
     for kind in ("think", "route", "info", "answer"):
-        if kind in config:
-            value = config[kind]
+        if kind in section:
+            value = section[kind]
             if not (isinstance(value, list) and len(value) == 2):
                 raise ConfigError(f"lexicon: {kind} must be an [open, close] pair")
-            pairs[f"{kind}_open"], pairs[f"{kind}_close"] = value
-    aliases = config.get("info_aliases")
-    if aliases is not None:
-        pairs["info_aliases"] = tuple(tuple(pair) for pair in aliases)
-    try:
-        return TagLexicon(**pairs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"lexicon: {exc}")
+            fields[f"{kind}_open"], fields[f"{kind}_close"] = value
+    if section.get("info_aliases") is not None:
+        fields["info_aliases"] = section["info_aliases"]
+    return build_section(TagLexicon, fields, "lexicon")
 
 
 @dataclass
@@ -128,30 +134,17 @@ class RunConfig:
     eval_warmup_costs: tuple[float, ...] = ()
     base_dir: str = "."
 
-
-def _build_engine_config(section: dict, lexicon: TagLexicon) -> EngineConfig:
-    known = {
-        "max_routing_steps",
-        "max_response_tokens",
-        "max_sequence_tokens",
-        "max_api_response_tokens",
-        "timeout_ms",
-    }
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"engine: unknown keys {sorted(unknown)}")
-    kwargs = {key: section[key] for key in known & set(section)}
-    try:
-        return EngineConfig(lexicon=lexicon, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"engine: {exc}")
-
-
-def _build_section(cls, section: dict, name: str):
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}")
+    def __post_init__(self) -> None:
+        if not isinstance(self.policy, dict) or "kind" not in self.policy:
+            raise ValueError("policy section must be an object with a 'kind'")
+        self.seed = int(self.seed)
+        costs = self.eval_warmup_costs
+        if not isinstance(costs, (list, tuple)) or not all(
+            isinstance(c, (int, float)) and math.isfinite(c) and c >= 0
+            for c in costs
+        ):
+            raise ValueError("eval_warmup_costs must be finite numbers >= 0")
+        self.eval_warmup_costs = tuple(float(c) for c in costs)
 
 
 def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -160,50 +153,33 @@ def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     ``overrides`` maps dotted section keys ("reward.alpha", "trainer.steps",
     "engine.max_routing_steps", "seed") to values; None values are ignored.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("run config must be a JSON object")
+    data = _object(read_json(path, "config file"), "run config")
 
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if "." in key:
-            section, leaf = key.split(".", 1)
-            data.setdefault(section, {})
-            if not isinstance(data[section], dict):
-                raise ConfigError(f"cannot override {key}: {section} is not an object")
-            data[section][leaf] = value
-        else:
-            data[key] = value
+        section, _, leaf = key.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        # A section that is not an object fails in build_section below.
+        if value is not None and isinstance(target, dict):
+            target[leaf] = value
 
+    if "pool" not in data:
+        raise ConfigError("run config: missing required key 'pool'")
     base_dir = os.path.dirname(path) or "."
-    pool = load_pool_config(_require(data, "pool", "run config"), base_dir)
     lexicon = (
         _lexicon_from(data["lexicon"]) if "lexicon" in data else DEFAULT_LEXICON
     )
-    engine = _build_engine_config(data.get("engine", {}), lexicon)
-    reward = _build_section(RewardConfig, data.get("reward", {}), "reward")
-    trainer = _build_section(TrainConfig, data.get("trainer", {}), "trainer")
-    policy = data.get("policy", {"kind": "scripted", "script": []})
-    if not isinstance(policy, dict) or "kind" not in policy:
-        raise ConfigError("policy section must be an object with a 'kind'")
-    seed = int(data.get("seed", 0))
-    warmup = data.get("eval_warmup_costs", ())
-    if warmup and not all(isinstance(c, (int, float)) for c in warmup):
-        raise ConfigError("eval_warmup_costs must be numbers")
-    return RunConfig(
-        pool=pool,
-        engine=engine,
-        reward=reward,
-        trainer=trainer,
-        policy=policy,
-        seed=seed,
-        eval_warmup_costs=tuple(float(c) for c in warmup),
+    top_level = {
+        key: data[key] for key in ("policy", "seed", "eval_warmup_costs") if key in data
+    }
+    return build_section(
+        RunConfig,
+        top_level,
+        "run config",
+        pool=load_pool_config(data["pool"], base_dir),
+        engine=build_section(
+            EngineConfig, data.get("engine", {}), "engine", lexicon=lexicon
+        ),
+        reward=build_section(RewardConfig, data.get("reward", {}), "reward"),
+        trainer=build_section(TrainConfig, data.get("trainer", {}), "trainer"),
         base_dir=base_dir,
     )

@@ -30,6 +30,15 @@ class TaskRecord:
     golds: Optional[list[str]]
 
 
+def is_gold_list(value) -> bool:
+    """True for a nonempty list of strings, the one accepted form of golds."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(isinstance(gold, str) for gold in value)
+    )
+
+
 def load_tasks(path: str) -> list[TaskRecord]:
     """Load a JSONL task file of {"id", "question", "golden_answers"} rows.
 
@@ -59,11 +68,7 @@ def load_tasks(path: str) -> list[TaskRecord]:
                 raise TaskFileError(line_no, f"missing field {exc}")
             if not isinstance(question, str) or not question.strip():
                 raise TaskFileError(line_no, "question must be a nonempty string")
-            if (
-                not isinstance(golds, list)
-                or not golds
-                or not all(isinstance(g, str) for g in golds)
-            ):
+            if not is_gold_list(golds):
                 raise TaskFileError(
                     line_no, "golden_answers must be a nonempty list of strings"
                 )

@@ -8,13 +8,12 @@ section, for the CLI and the HTTP service alike.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, build_section, read_json
 from .engine import PolicyBackend
 from .pool import chat_completion
 from .trainer import LearnedRoutingPolicy, PolicyParams
@@ -62,11 +61,13 @@ class HttpPolicy(PolicyBackend):
         temperature: float = 1.0,
         timeout_ms: float = 60000.0,
     ):
-        self.model = model
-        self.url_env = url_env
-        self.api_key_env = api_key_env
-        self.temperature = temperature
-        self.timeout_ms = timeout_ms
+        if not model:
+            raise ValueError("model is required")
+        self.model = str(model)
+        self.url_env = str(url_env)
+        self.api_key_env = str(api_key_env)
+        self.temperature = float(temperature)
+        self.timeout_ms = float(timeout_ms)
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
@@ -107,30 +108,37 @@ def policy_factory(run: RunConfig):
     """Build a ``TaskRecord -> PolicyBackend`` factory from the policy section.
 
     Raises:
-        ConfigError: unknown policy kind or a malformed section.
+        ConfigError: unknown policy kind, a malformed section or policy file.
     """
     section = run.policy
     kind = section.get("kind")
     if kind == "scripted":
         script = section.get("script")
-        script_path = section.get("script_path")
-        if script_path:
-            with open(os.path.join(run.base_dir, script_path), encoding="utf-8") as f:
-                script = json.load(f)
-        if script is None:
-            script = []
-        if isinstance(script, dict):
-            default = script.get("default", [])
-            return lambda task: ScriptedPolicy(script.get(task.id, default))
-        if not isinstance(script, list):
-            raise ConfigError("scripted policy: script must be a list or mapping")
-        return lambda task: ScriptedPolicy(script)
+        if section.get("script_path"):
+            path = os.path.join(run.base_dir, section["script_path"])
+            script = read_json(path, "scripted policy")
+        if script is None or isinstance(script, list):
+            script = {"default": script or []}
+        if not isinstance(script, dict) or not all(
+            isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+            for lines in script.values()
+        ):
+            raise ConfigError(
+                "scripted policy: script must be a list of strings "
+                "or a mapping of such lists"
+            )
+        default = script.get("default", [])
+        return lambda task: ScriptedPolicy(script.get(task.id, default))
     if kind == "params":
         path = section.get("path")
         if not path:
             raise ConfigError("params policy: 'path' is required")
-        with open(os.path.join(run.base_dir, path), encoding="utf-8") as f:
-            params = PolicyParams.from_json(f.read())
+        path = os.path.join(run.base_dir, path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                params = PolicyParams.from_json(f.read())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"params policy {path}: bad params file: {exc!r}")
 
         def factory(task):
             rng = np.random.default_rng(run.seed)
@@ -145,13 +153,7 @@ def policy_factory(run: RunConfig):
 
         return factory
     if kind == "http":
-        model = section.get("model")
-        if not model:
-            raise ConfigError("http policy: 'model' is required")
-        kwargs = {
-            key: section[key]
-            for key in ("url_env", "api_key_env", "temperature", "timeout_ms")
-            if key in section
-        }
-        return lambda task: HttpPolicy(model, **kwargs)
+        fields = {key: value for key, value in section.items() if key != "kind"}
+        policy = build_section(HttpPolicy, fields, "http policy")
+        return lambda task: policy
     raise ConfigError(f"unknown policy kind {kind!r}")

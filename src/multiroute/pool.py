@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -101,6 +102,9 @@ class SimulatedProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "accuracy", float(self.accuracy))
+        object.__setattr__(self, "verbosity", int(self.verbosity))
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
         if self.verbosity < 1:
@@ -257,10 +261,10 @@ class HttpBackend:
         api_key_env: str = "MULTIROUTE_API_KEY",
         temperature: float = 0.0,
     ):
-        self.model = model
-        self.url_env = url_env
-        self.api_key_env = api_key_env
-        self.temperature = temperature
+        self.model = str(model)
+        self.url_env = str(url_env)
+        self.api_key_env = str(api_key_env)
+        self.temperature = float(temperature)
 
     def complete(
         self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0
@@ -291,16 +295,16 @@ class ModelDescriptor:
     backend: object
 
     def __post_init__(self) -> None:
-        if not self.id.strip():
-            raise ValueError("model id must be nonempty")
-        if not self.display_name.strip():
-            raise ValueError("display_name must be nonempty")
-        if self.param_count_b <= 0:
-            raise ValueError("param_count_b must be positive")
-        if self.cost_per_token < 0:
-            raise ValueError("cost_per_token must be nonnegative")
-        if not self.descriptor_text.strip():
-            raise ValueError("descriptor_text must be nonempty")
+        for name in ("id", "display_name", "descriptor_text"):
+            setattr(self, name, str(getattr(self, name)))
+            if not getattr(self, name).strip():
+                raise ValueError(f"{name} must be nonempty")
+        self.param_count_b = float(self.param_count_b)
+        self.cost_per_token = float(self.cost_per_token)
+        if not 0 < self.param_count_b < math.inf:
+            raise ValueError("param_count_b must be positive and finite")
+        if not 0 <= self.cost_per_token < math.inf:
+            raise ValueError("cost_per_token must be nonnegative and finite")
 
 
 class RoutingPool:

@@ -46,11 +46,15 @@ class TagLexicon:
     info_aliases: tuple[tuple[str, str], ...] = (("<info>", "</info>"),)
 
     def __post_init__(self) -> None:
+        aliases = tuple(tuple(pair) for pair in self.info_aliases)
+        if any(isinstance(p, str) or len(p) != 2 for p in self.info_aliases):
+            raise ValueError("info_aliases must be (open, close) pairs")
+        object.__setattr__(self, "info_aliases", aliases)
         lexemes = list(self.primary_pairs_flat()) + [
             lex for pair in self.info_aliases for lex in pair
         ]
-        if any(not lex for lex in lexemes):
-            raise ValueError("tag lexemes must be nonempty")
+        if any(not isinstance(lex, str) or not lex for lex in lexemes):
+            raise ValueError("tag lexemes must be nonempty strings")
         if len(set(lexemes)) != len(lexemes):
             raise ValueError("tag lexemes must be pairwise distinct")
         for a in lexemes:

@@ -5,7 +5,7 @@ returns its record; rewards are included only when golds are supplied.
 GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
 requests.  A request body must declare a Content-Length of at most
-``MAX_BODY_BYTES``.
+``MAX_BODY_BYTES``; a read that waits over ``READ_TIMEOUT_S`` gets a 408.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import RunConfig
 from .engine import run_episode
-from .evaluation import TaskRecord
+from .evaluation import TaskRecord, is_gold_list
 from .policies import policy_factory
 from .rewards import CostWindow, cost_reward
 
 MAX_BODY_BYTES = 1 << 20
+# A socket read that waits longer fails, so a client that sends less than
+# its Content-Length cannot hold a handler thread.
+READ_TIMEOUT_S = 10.0
 
 
 class RoutingHTTPServer(ThreadingHTTPServer):
@@ -39,6 +42,10 @@ class RoutingHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     server: RoutingHTTPServer
+
+    def setup(self) -> None:
+        self.request.settimeout(READ_TIMEOUT_S)
+        super().setup()
 
     def log_message(self, *args) -> None:  # quiet by default
         pass
@@ -75,16 +82,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")
+            if not isinstance(payload, dict):
+                raise ValueError("body must be a JSON object")
             question = payload["question"]
             if not isinstance(question, str) or not question.strip():
                 raise ValueError("question must be a nonempty string")
             golds = payload.get("golds")
-            if golds is not None and (
-                not isinstance(golds, list)
-                or not golds
-                or not all(isinstance(g, str) for g in golds)
-            ):
+            if golds is not None and not is_gold_list(golds):
                 raise ValueError("golds must be a nonempty list of strings")
+        except TimeoutError:
+            self._send_json(408, {"error": "timed out reading the body"})
+            return
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return

@@ -545,3 +545,124 @@ def test_argparse_requires_subcommand():
     with pytest.raises(SystemExit) as exc_info:
         main([])
     assert exc_info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# bad inputs: one error line and exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _route_with(mutate):
+    """argv for `route` over the route config after ``mutate`` edits it."""
+
+    def argv(workdir):
+        config = {
+            "pool": _pool_mapping(),
+            "policy": {"kind": "scripted", "script": FILM_SCRIPT},
+        }
+        mutate(config)
+        path = workdir / "bad_run.json"
+        path.write_text(json.dumps(config))
+        return ["route", "--config", str(path), "--question", FILM_Q]
+
+    return argv
+
+
+def _reward_check_row(row):
+    def argv(workdir):
+        audit = workdir / "audit.jsonl"
+        audit.write_text(json.dumps(row) + "\n")
+        return [
+            "reward-check",
+            "--config", str(workdir / "eval.json"),
+            "--file", str(audit),
+        ]
+
+    return argv
+
+
+def _sim_backend(**values):
+    return _route_with(lambda c: c["pool"]["models"][0]["backend"].update(values))
+
+
+def _top_level(**values):
+    return _route_with(lambda c: c.update(values))
+
+
+BAD_INPUTS = [
+    # run-config values
+    pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
+    pytest.param(_sim_backend(verbosity="many"), "pool model #0", id="sim-verbosity"),
+    pytest.param(
+        _route_with(lambda c: c["pool"]["models"].append(5)),
+        "pool model #2",
+        id="model-entry-not-object",
+    ),
+    pytest.param(
+        _top_level(eval_warmup_costs=[-1.0]), "run config", id="warmup-cost-negative"
+    ),
+    pytest.param(
+        _top_level(eval_warmup_costs=5), "run config", id="warmup-costs-not-list"
+    ),
+    pytest.param(_top_level(seed="x"), "run config", id="seed-not-int"),
+    pytest.param(
+        _top_level(lexicon={"info_aliases": [["<i>"]]}),
+        "lexicon",
+        id="info-alias-not-pair",
+    ),
+    # policy files
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": "not.json"}),
+        "params policy {dir}/not.json",
+        id="params-file-not-json",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": "no_weights.json"}),
+        "params policy {dir}/no_weights.json",
+        id="params-file-without-weights",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script_path": "not.json"}),
+        "scripted policy {dir}/not.json",
+        id="script-file-not-json",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script": [5]}),
+        "scripted policy",
+        id="script-entry-not-string",
+    ),
+    # reward-check rows
+    pytest.param(
+        _reward_check_row({"raw": 5}), "{dir}/audit.jsonl:1", id="raw-not-string"
+    ),
+    pytest.param(
+        _reward_check_row({"raw": "<answer>x</answer>", "golden_answers": "x"}),
+        "{dir}/audit.jsonl:1",
+        id="golds-not-list",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, context", BAD_INPUTS)
+def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
+    (workdir / "not.json").write_text("{nope")
+    (workdir / "no_weights.json").write_text(json.dumps({"feature_dim": 64}))
+    code = main(argv(workdir))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {context.format(dir=workdir)}: ")
+
+
+def test_integer_price_bills_a_float_cost(workdir, capsys):
+    mapping = _pool_mapping()
+    mapping["models"][0]["cost_per_token"] = 2
+    config = {"pool": mapping, "policy": {"kind": "scripted", "script": FILM_SCRIPT}}
+    path = workdir / "int_price.json"
+    path.write_text(json.dumps(config))
+    assert main(["route", "--config", str(path), "--question", FILM_Q]) == 0
+    record = json.loads(capsys.readouterr().out)
+    (call,) = record["calls"]
+    assert call["output_tokens"] == 48
+    assert isinstance(call["cost"], float) and call["cost"] == 96.0

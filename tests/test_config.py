@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from multiroute.config import ConfigError, load_pool_config, load_run_config
-from multiroute.pool import HttpBackend, SimulatedBackend
+from multiroute.policies import HttpPolicy, policy_factory
+from multiroute.pool import HttpBackend, SimulatedBackend, dispatch
 
 
 def _pool_mapping():
@@ -234,3 +236,133 @@ def test_run_config_file_errors(tmp_path):
     array.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="object"):
         load_run_config(str(array))
+
+
+# ---------------------------------------------------------------------------
+# sections built by the classes that own them
+# ---------------------------------------------------------------------------
+
+
+def _set(path, value):
+    """Mutation that sets ``mapping[path[0]]...[path[-1]] = value``."""
+
+    def mutate(mapping):
+        target = mapping
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # unknown keys
+        _set(["models", 0, "vendor"], "acme"),
+        _set(["models", 0, "backend", "temperature"], 0.1),
+        _set(["models", 1, "backend", "accuracy"], 1.0),
+        # values the owning class rejects
+        _set(["models", 0, "cost_per_token"], float("nan")),
+        _set(["models", 0, "param_count_b"], float("inf")),
+        _set(["models", 0, "backend", "verbosity"], float("inf")),
+        _set(["models", 0, "backend", "kb"], ["capital of peru"]),
+        _set(["models", 0, "backend", "kb_path"], 5),
+        _set(["models", 0, "backend"], "sim"),
+        _set(["models", 1, "backend", "temperature"], "warm"),
+    ],
+)
+def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
+    mapping = _pool_mapping()
+    mutate(mapping)
+    with pytest.raises(ConfigError, match=r"^pool model #[01]: "):
+        load_pool_config(mapping)
+
+
+@pytest.mark.parametrize(
+    "extra, context",
+    [
+        ({"engine": {"max_routing_steps": "4"}}, "engine"),
+        ({"engine": {"lexicon": {}}}, "engine"),
+        ({"lexicon": {"think": [1, 2]}}, "lexicon"),
+        ({"lexicon": {"info_aliases": ["<i>"]}}, "lexicon"),
+        ({"lexicon": "plain"}, "lexicon"),
+        ({"eval_warmup_costs": [float("nan")]}, "run config"),
+        ({"eval_warmup_costs": "12"}, "run config"),
+        ({"seed": float("inf")}, "run config"),
+    ],
+)
+def test_run_config_sections_name_their_context(tmp_path, extra, context):
+    path = _write_run_config(tmp_path, extra=extra)
+    with pytest.raises(ConfigError, match=f"^{context}: "):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"kind": "http", "model": "m", "retries": 2},
+        {"kind": "http", "model": "m", "temperature": "warm"},
+        {"kind": "http", "model": ""},
+        {"kind": "http"},
+    ],
+)
+def test_http_policy_section_is_built_by_http_policy(tmp_path, section):
+    run = load_run_config(_write_run_config(tmp_path, extra={"policy": section}))
+    with pytest.raises(ConfigError, match="^http policy: "):
+        policy_factory(run)
+
+
+def test_http_policy_section_values_reach_the_policy(tmp_path):
+    section = {
+        "kind": "http",
+        "model": "policy-v2",
+        "url_env": "MY_POLICY_URL",
+        "temperature": 1,
+        "timeout_ms": 500,
+    }
+    run = load_run_config(_write_run_config(tmp_path, extra={"policy": section}))
+    policy = policy_factory(run)(None)
+    assert isinstance(policy, HttpPolicy)
+    assert (policy.model, policy.url_env, policy.api_key_env) == (
+        "policy-v2",
+        "MY_POLICY_URL",
+        "MULTIROUTE_POLICY_KEY",
+    )
+    assert (policy.temperature, policy.timeout_ms) == (1.0, 500.0)
+    assert isinstance(policy.temperature, float)
+
+
+def test_inline_kb_keys_are_normalized_like_kb_files():
+    mapping = _pool_mapping()
+    backend = mapping["models"][0]["backend"]
+    backend["kb"] = {"Capital of Peru?": "Lima"}
+    backend["accuracy"] = 1.0
+    pool = load_pool_config(mapping)
+    profile = pool.get("sim-small").backend.profile
+    assert profile.knowledge_base == {"capital of peru": "Lima"}
+    call = dispatch(pool, "sim-small", "capital of peru")
+    assert call.response_text.startswith("Lima")
+
+
+def test_readme_run_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Run config") :]
+    example = section[section.index("```json\n") + len("```json\n") :]
+    example = example[: example.index("```")]
+    (tmp_path / "run.json").write_text(example)
+    (tmp_path / "kb.jsonl").write_text(
+        json.dumps({"key": "Where did Pachacuti die?", "answer": "Cusco"}) + "\n"
+    )
+    run = load_run_config(str(tmp_path / "run.json"))
+    data = json.loads(example)
+    assert [d.id for d in run.pool] == [m["id"] for m in data["pool"]["models"]]
+    llama = run.pool.get("llama-3.1-70b-instruct").backend.profile
+    assert llama.knowledge_base == {"where did pachacuti die": "Cusco"}
+    assert (llama.verbosity, llama.seed) == (48, 103)
+    assert run.pool.get("gpt-4o-mini").backend.model == "gpt-4o-mini"
+    assert run.engine.max_api_response_tokens == 600
+    assert run.reward.alpha == 0.5
+    assert run.trainer.feature_dim == 64
+    assert run.policy == {"kind": "params", "path": "params.json"}
+    assert run.eval_warmup_costs == (0.0, 2.0, 96.0)

@@ -374,3 +374,14 @@ def test_http_backend_requires_url_env(monkeypatch):
     backend = HttpBackend(model="remote")
     with pytest.raises(BackendError):
         backend.complete("p", 600)
+
+
+def test_constructors_coerce_numbers_as_config_files_do():
+    profile = SimulatedProfile(accuracy=1, verbosity=8.0, seed="3")
+    assert (profile.accuracy, profile.verbosity, profile.seed) == (1.0, 8, 3)
+    assert type(profile.accuracy) is float and type(profile.verbosity) is int
+    descriptor = ModelDescriptor("m", "M", 7, 2, "d", SimulatedBackend(profile))
+    assert type(descriptor.param_count_b) is float
+    assert type(descriptor.cost_per_token) is float
+    assert type(HttpBackend(model="remote", temperature=0).temperature) is float
+

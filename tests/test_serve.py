@@ -9,6 +9,7 @@ import threading
 import pytest
 import requests
 
+from multiroute import serve
 from multiroute.config import load_run_config
 from multiroute.rewards import normalize_answer
 from multiroute.serve import MAX_BODY_BYTES, build_server
@@ -206,3 +207,34 @@ def test_bad_content_length_is_answered_without_reading_the_body(
         )
         status_line = sock.makefile("rb").readline()
     assert status_line.split()[1] == str(status).encode()
+
+
+def _raw_request(port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; return the reply's status line."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        return sock.makefile("rb").readline()
+
+
+@pytest.mark.parametrize("body", [b"[]", b'"q"', b"5", b"null"])
+def test_body_that_is_not_an_object_is_400(server, body):
+    status_line = _raw_request(
+        server.server_port,
+        b"POST /route HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+    )
+    assert status_line.split()[1] == b"400"
+    response = requests.get(f"{server.base_url}/health", timeout=5)
+    assert response.status_code == 200
+
+
+def test_body_shorter_than_its_content_length_times_out(server, monkeypatch):
+    monkeypatch.setattr(serve, "READ_TIMEOUT_S", 0.2)
+    status_line = _raw_request(
+        server.server_port,
+        b"POST /route HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Length: 10\r\n\r\n{}",
+    )
+    assert status_line.split()[1] == b"408"
+    response = requests.get(f"{server.base_url}/health", timeout=5)
+    assert response.status_code == 200
