@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import FAILURE_NOTICE_PREFIXES, run_episode, score_episode
+from .engine import FAILURE_NOTICE_PREFIXES, score_episode
 from .evaluation import (
     TaskFileError,
     TaskRecord,
@@ -34,6 +34,7 @@ from .protocol import (
     validate_format,
 )
 from .rewards import CostWindow, cost_reward
+from .serve import Router, serve_forever
 from .trainer import train
 
 
@@ -41,40 +42,16 @@ class CliError(Exception):
     pass
 
 
-def cmd_route(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config,
-        {
-            "reward.alpha": args.alpha,
-            "engine.max_routing_steps": args.max_routing_steps,
-            "seed": args.seed,
-        },
-    )
-    factory = policy_factory(run)
-    task = TaskRecord(id=None, question=args.question, golds=args.gold or None)
-    window = CostWindow(run.reward.window_capacity)
-    for cost in run.eval_warmup_costs:
-        cost_reward(window, cost, run.reward)
-    episode = run_episode(
-        task.question,
-        task.golds,
-        factory(task),
-        run.pool,
-        window,
-        run.engine,
-        run.reward,
-    )
-    record = episode.to_record()
-    if record["rewards"] is None:
-        del record["rewards"]
-    print(json.dumps(record, sort_keys=True))
+def cmd_route(args: argparse.Namespace, run: RunConfig) -> int:
+    try:
+        task = TaskRecord(id=None, question=args.question, golds=args.gold)
+    except ValueError as exc:
+        raise CliError(f"route: {exc}")
+    print(json.dumps(Router(run).route(task), sort_keys=True))
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config, {"reward.alpha": args.alpha, "seed": args.seed}
-    )
+def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     tasks = load_tasks(args.tasks)
     factory = policy_factory(run)
     summary, episodes = evaluate(
@@ -85,27 +62,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         run.reward,
         warmup_costs=run.eval_warmup_costs,
     )
-    print(report(summary, fmt=args.format))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(summary.to_record(), sort_keys=True) + "\n")
     if args.episodes_log:
         write_episode_log(args.episodes_log, episodes)
+    # Printed last, so a file that cannot be written leaves stdout empty.
+    print(report(summary, fmt=args.format))
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config,
-        {
-            "reward.alpha": args.alpha,
-            "trainer.steps": args.steps,
-            "trainer.batch_size": args.batch_size,
-            "trainer.learning_rate": args.learning_rate,
-            "trainer.beta": args.beta,
-            "trainer.seed": args.seed,
-        },
-    )
+def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     tasks = load_tasks(args.tasks)
     result = train(tasks, run.pool, run.trainer, run.reward, run.engine)
     if args.metrics_out:
@@ -149,8 +116,7 @@ def _reconstruct_cost(trajectory, run: RunConfig) -> float:
     return cost
 
 
-def cmd_reward_check(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, {"reward.alpha": args.alpha})
+def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
     window = CostWindow(run.reward.window_capacity)
     for cost in run.eval_warmup_costs:
         cost_reward(window, cost, run.reward)
@@ -195,10 +161,7 @@ def cmd_reward_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import serve_forever
-
-    run = load_run_config(args.config, {"seed": args.seed})
+def cmd_serve(args: argparse.Namespace, run: RunConfig) -> int:
     host, _, port = args.bind.rpartition(":")
     if not host or not port.isdigit():
         raise CliError(f"--bind must be host:port, got {args.bind!r}")
@@ -213,18 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def override(p, flag, key, type):
+        p.add_argument(flag, dest=key, type=type, default=None,
+                       help=f"override {key}")
+
     def add_common(p):
         p.add_argument("--config", required=True, help="run config JSON file")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="override reward.alpha")
+        override(p, "--alpha", "reward.alpha", float)
 
     p_route = sub.add_parser("route", help="answer one question")
     add_common(p_route)
     p_route.add_argument("--question", required=True)
     p_route.add_argument("--gold", action="append", default=None,
                          help="golden answer (repeatable); enables rewards")
-    p_route.add_argument("--seed", type=int, default=None)
-    p_route.add_argument("--max-routing-steps", type=int, default=None)
+    override(p_route, "--seed", "seed", int)
+    override(p_route, "--max-routing-steps", "engine.max_routing_steps", int)
     p_route.set_defaults(func=cmd_route)
 
     p_eval = sub.add_parser("eval", help="evaluate a policy on a task file")
@@ -234,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--episodes-log", default=None,
                         help="write per-episode JSONL here")
     p_eval.add_argument("--format", choices=("table", "machine"), default="table")
-    p_eval.add_argument("--seed", type=int, default=None)
+    override(p_eval, "--seed", "seed", int)
     p_eval.set_defaults(func=cmd_eval)
 
     p_train = sub.add_parser("train", help="train the routing policy")
@@ -244,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write per-step metrics JSONL here")
     p_train.add_argument("--params-out", default=None,
                          help="write trained params JSON here")
-    p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
-    p_train.add_argument("--learning-rate", type=float, default=None)
-    p_train.add_argument("--beta", type=float, default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    override(p_train, "--steps", "trainer.steps", int)
+    override(p_train, "--batch-size", "trainer.batch_size", int)
+    override(p_train, "--learning-rate", "trainer.learning_rate", float)
+    override(p_train, "--beta", "trainer.beta", float)
+    override(p_train, "--seed", "trainer.seed", int)
     p_train.set_defaults(func=cmd_train)
 
     p_check = sub.add_parser(
@@ -263,19 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_serve)
     p_serve.add_argument("--bind", default="127.0.0.1:8777")
     p_serve.add_argument("--max-inflight", type=int, default=8)
-    p_serve.add_argument("--seed", type=int, default=None)
+    override(p_serve, "--seed", "seed", int)
     p_serve.set_defaults(func=cmd_serve)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Override flags (``override`` in build_parser) store their values under
+    # config keys: a dotted section key, or the top-level seed.
+    overrides = {k: v for k, v in vars(args).items() if "." in k or k == "seed"}
     try:
-        return args.func(args)
-    except (ConfigError, TaskFileError, CliError, FileNotFoundError) as exc:
+        return args.func(args, load_run_config(args.config, overrides))
+    except (ConfigError, TaskFileError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {detail}", file=sys.stderr)
+    return 2
 
 
 def script_main() -> None:

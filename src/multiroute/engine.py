@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .pool import (
+    UNABLE_PREFIX,
     BackendError,
     BackendTimeout,
     CallRecord,
@@ -37,6 +38,7 @@ from .rewards import (
     CostWindow,
     RewardBreakdown,
     RewardConfig,
+    check_field_types,
     compose_breakdown,
     cost_reward,
     episode_cost_raw,
@@ -53,7 +55,7 @@ FAILURE_NOTICE_PREFIXES = ("Routing error", "No assistance available")
 
 # Info prefixes that carry no usable answer; policies may use these to tell
 # helpful replies apart from canned failure notices.
-UNHELPFUL_INFO_PREFIXES = FAILURE_NOTICE_PREFIXES + ("I am unable to assist",)
+UNHELPFUL_INFO_PREFIXES = FAILURE_NOTICE_PREFIXES + (UNABLE_PREFIX,)
 
 PROMPT_TEMPLATE = (
     "Answer the given question. Every time you receive new information, you "
@@ -92,6 +94,7 @@ class EngineConfig:
     lexicon: TagLexicon = DEFAULT_LEXICON
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in (
             "max_routing_steps",
             "max_response_tokens",

@@ -23,11 +23,21 @@ class DuplicateTaskIdError(TaskFileError):
 
 @dataclass
 class TaskRecord:
-    """One question; ``id`` and ``golds`` are None for ad-hoc questions."""
+    """One question; ``id`` and ``golds`` are None for ad-hoc questions.
+
+    Raises ValueError unless the question is a nonempty string and the golds
+    are None or pass ``is_gold_list``.
+    """
 
     id: Optional[str]
     question: str
     golds: Optional[list[str]]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.question, str) or not self.question.strip():
+            raise ValueError("question must be a nonempty string")
+        if self.golds is not None and not is_gold_list(self.golds):
+            raise ValueError("golds must be a nonempty list of strings")
 
 
 def is_gold_list(value) -> bool:
@@ -61,21 +71,20 @@ def load_tasks(path: str) -> list[TaskRecord]:
             if not isinstance(row, dict):
                 raise TaskFileError(line_no, "row must be a JSON object")
             try:
-                task_id = str(row["id"])
-                question = row["question"]
-                golds = row["golden_answers"]
+                # A task row must carry golds: null fails like an empty list.
+                task = TaskRecord(
+                    id=str(row["id"]),
+                    question=row["question"],
+                    golds=row["golden_answers"] or [],
+                )
             except KeyError as exc:
                 raise TaskFileError(line_no, f"missing field {exc}")
-            if not isinstance(question, str) or not question.strip():
-                raise TaskFileError(line_no, "question must be a nonempty string")
-            if not is_gold_list(golds):
-                raise TaskFileError(
-                    line_no, "golden_answers must be a nonempty list of strings"
-                )
-            if task_id in seen_ids:
-                raise DuplicateTaskIdError(line_no, f"duplicate task id {task_id!r}")
-            seen_ids.add(task_id)
-            tasks.append(TaskRecord(id=task_id, question=question, golds=list(golds)))
+            except ValueError as exc:
+                raise TaskFileError(line_no, str(exc))
+            if task.id in seen_ids:
+                raise DuplicateTaskIdError(line_no, f"duplicate task id {task.id!r}")
+            seen_ids.add(task.id)
+            tasks.append(task)
     return tasks
 
 

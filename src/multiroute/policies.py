@@ -16,6 +16,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, build_section, read_json
 from .engine import PolicyBackend
 from .pool import chat_completion
+from .protocol import DEFAULT_LEXICON, TagLexicon
 from .trainer import LearnedRoutingPolicy, PolicyParams
 
 
@@ -50,7 +51,8 @@ class HttpPolicy(PolicyBackend):
 
     Most APIs strip the stop sequence from the returned text; the engine's
     contract wants it back, so when the finish reason is a stop and the text
-    ends with an unclosed block, the matching marker is re-appended.
+    ends with an unclosed block, the matching marker is re-appended.  Each
+    marker's opening tag comes from ``lexicon``.
     """
 
     def __init__(
@@ -60,6 +62,7 @@ class HttpPolicy(PolicyBackend):
         api_key_env: str = "MULTIROUTE_POLICY_KEY",
         temperature: float = 1.0,
         timeout_ms: float = 60000.0,
+        lexicon: TagLexicon = DEFAULT_LEXICON,
     ):
         if not model:
             raise ValueError("model is required")
@@ -68,6 +71,7 @@ class HttpPolicy(PolicyBackend):
         self.api_key_env = str(api_key_env)
         self.temperature = float(temperature)
         self.timeout_ms = float(timeout_ms)
+        self.lexicon = lexicon
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
@@ -88,13 +92,15 @@ class HttpPolicy(PolicyBackend):
             text = text + self._infer_stop(text, stop_markers)
         return text
 
-    @staticmethod
-    def _infer_stop(text: str, stop_markers: list[str]) -> str:
+    def _infer_stop(self, text: str, stop_markers: list[str]) -> str:
         # The marker whose opening tag appears last unclosed wins; fall back
         # to the first marker the engine asked for.
+        openers = {
+            close: opener for opener, close, _ in self.lexicon.open_close_pairs()
+        }
         best: Optional[tuple[int, str]] = None
         for marker in stop_markers:
-            opener = marker.replace("</", "<", 1) if marker.startswith("</") else None
+            opener = openers.get(marker)
             if opener is None:
                 continue
             at = text.rfind(opener)
@@ -112,11 +118,16 @@ def policy_factory(run: RunConfig):
     """
     section = run.policy
     kind = section.get("kind")
+
+    def path_of(key: str) -> str:
+        if not isinstance(section[key], str):
+            raise ConfigError(f"{kind} policy: {key} must be a string")
+        return os.path.join(run.base_dir, section[key])
+
     if kind == "scripted":
         script = section.get("script")
         if section.get("script_path"):
-            path = os.path.join(run.base_dir, section["script_path"])
-            script = read_json(path, "scripted policy")
+            script = read_json(path_of("script_path"), "scripted policy")
         if script is None or isinstance(script, list):
             script = {"default": script or []}
         if not isinstance(script, dict) or not all(
@@ -130,10 +141,9 @@ def policy_factory(run: RunConfig):
         default = script.get("default", [])
         return lambda task: ScriptedPolicy(script.get(task.id, default))
     if kind == "params":
-        path = section.get("path")
-        if not path:
+        if not section.get("path"):
             raise ConfigError("params policy: 'path' is required")
-        path = os.path.join(run.base_dir, path)
+        path = path_of("path")
         try:
             with open(path, encoding="utf-8") as f:
                 params = PolicyParams.from_json(f.read())
@@ -154,6 +164,8 @@ def policy_factory(run: RunConfig):
         return factory
     if kind == "http":
         fields = {key: value for key, value in section.items() if key != "kind"}
-        policy = build_section(HttpPolicy, fields, "http policy")
+        policy = build_section(
+            HttpPolicy, fields, "http policy", lexicon=run.engine.lexicon
+        )
         return lambda task: policy
     raise ConfigError(f"unknown policy kind {kind!r}")

@@ -20,9 +20,13 @@ import requests
 
 from .rewards import normalize_answer
 
+# Opening words of a model's refusal; policies read replies that start with
+# them as carrying no answer.
+UNABLE_PREFIX = "I am unable to assist"
+
 # Fixed reply a simulated model gives when it cannot answer.
 UNABLE_RESPONSE = (
-    "I am unable to assist with this question. "
+    f"{UNABLE_PREFIX} with this question. "
     "Please consult other LLMs for further assistance."
 )
 

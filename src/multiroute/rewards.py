@@ -8,7 +8,9 @@ raw episode cost against a sliding window of recent episodes via the 5th and
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import re
 import string
 import threading
@@ -23,6 +25,26 @@ _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
+def check_field_types(config) -> None:
+    """Check that each ``int`` field of a dataclass holds an integer and each
+    ``float`` field a real number; a bool is neither.
+
+    Raises:
+        TypeError: naming the first field that holds another type.
+    """
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
+        # Annotations are strings under ``from __future__ import annotations``.
+        if spec.type in ("int", int):
+            ok, kind = isinstance(value, numbers.Integral), "an integer"
+        elif spec.type in ("float", float):
+            ok, kind = isinstance(value, numbers.Real), "a number"
+        else:
+            continue
+        if not ok or isinstance(value, bool):
+            raise TypeError(f"{spec.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     alpha: float = 0.0
@@ -32,6 +54,7 @@ class RewardConfig:
     percentile_hi: float = 95.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.window_capacity < 1:

@@ -2,6 +2,7 @@
 
 POST /route with {"question": ..., "golds": [...]} runs one episode and
 returns its record; rewards are included only when golds are supplied.
+``Router`` answers it, and ``multiroute route`` prints the same record.
 GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
 requests.  A request body must declare a Content-Length of at most
@@ -17,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import RunConfig
 from .engine import run_episode
-from .evaluation import TaskRecord, is_gold_list
+from .evaluation import TaskRecord
 from .policies import policy_factory
 from .rewards import CostWindow, cost_reward
 
@@ -27,16 +28,41 @@ MAX_BODY_BYTES = 1 << 20
 READ_TIMEOUT_S = 10.0
 
 
-class RoutingHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class Router:
+    """Routes tasks one at a time through a shared policy factory and a cost
+    window primed with the run's ``eval_warmup_costs``."""
 
-    def __init__(self, address, run: RunConfig, max_inflight: int):
-        super().__init__(address, _Handler)
+    def __init__(self, run: RunConfig):
         self.run_config = run
         self.policy_factory = policy_factory(run)
         self.window = CostWindow(run.reward.window_capacity)
         for cost in run.eval_warmup_costs:
             cost_reward(self.window, cost, run.reward)
+
+    def route(self, task: TaskRecord) -> dict:
+        """Run one episode; the record has ``rewards`` only when scored."""
+        run = self.run_config
+        episode = run_episode(
+            task.question,
+            task.golds,
+            self.policy_factory(task),
+            run.pool,
+            self.window,
+            run.engine,
+            run.reward,
+        )
+        record = episode.to_record()
+        if record["rewards"] is None:
+            del record["rewards"]
+        return record
+
+
+class RoutingHTTPServer(ThreadingHTTPServer, Router):
+    daemon_threads = True
+
+    def __init__(self, address, run: RunConfig, max_inflight: int):
+        Router.__init__(self, run)
+        ThreadingHTTPServer.__init__(self, address, _Handler)
         self.inflight = threading.Semaphore(max_inflight)
 
 
@@ -84,12 +110,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")
-            question = payload["question"]
-            if not isinstance(question, str) or not question.strip():
-                raise ValueError("question must be a nonempty string")
-            golds = payload.get("golds")
-            if golds is not None and not is_gold_list(golds):
-                raise ValueError("golds must be a nonempty list of strings")
+            task = TaskRecord(
+                id=None, question=payload["question"], golds=payload.get("golds")
+            )
         except TimeoutError:
             self._send_json(408, {"error": "timed out reading the body"})
             return
@@ -101,22 +124,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(503, {"error": "too many in-flight requests"})
             return
         try:
-            run = self.server.run_config
-            task = TaskRecord(id=None, question=question, golds=golds)
-            policy = self.server.policy_factory(task)
-            episode = run_episode(
-                question,
-                golds,
-                policy,
-                run.pool,
-                self.server.window,
-                run.engine,
-                run.reward,
-            )
-            record = episode.to_record()
-            if record["rewards"] is None:
-                del record["rewards"]
-            self._send_json(200, record)
+            self._send_json(200, self.server.route(task))
         except Exception as exc:  # a failed episode must not kill the server
             self._send_json(500, {"error": str(exc)})
         finally:

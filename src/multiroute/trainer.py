@@ -29,7 +29,7 @@ from .engine import (
 )
 from .pool import RoutingPool
 from .protocol import TagLexicon
-from .rewards import CostWindow, RewardConfig, cost_reward
+from .rewards import CostWindow, RewardConfig, check_field_types, cost_reward
 
 ANSWER_ACTION = "answer"
 ABSTAIN_TEXT = "unknown"
@@ -96,6 +96,7 @@ class TrainConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:

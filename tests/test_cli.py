@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
+import requests
 
+from multiroute import cli
 from multiroute.cli import main
+from multiroute.config import load_run_config
 from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
 from multiroute.evaluation import parse_report
 from multiroute.pool import UNABLE_RESPONSE, token_count
 from multiroute.protocol import DirectiveError, DirectiveErrorKind
 from multiroute.rewards import normalize_answer
+from multiroute.serve import build_server
 from multiroute.trainer import PolicyParams, make_synthetic_tasks
 
 FILM_Q = (
@@ -589,6 +594,31 @@ def _top_level(**values):
     return _route_with(lambda c: c.update(values))
 
 
+def _with_dir(argv):
+    """``argv`` after making an empty directory ``adir`` in the workdir."""
+
+    def build(workdir):
+        (workdir / "adir").mkdir(exist_ok=True)
+        return argv(workdir)
+
+    return build
+
+
+def _eval_into(tasks, out=None):
+    """argv for `eval` with workdir files ``tasks`` and, if given, ``out``."""
+
+    def argv(workdir):
+        extra = ["--out", str(workdir / out)] if out else []
+        return [
+            "eval",
+            "--config", str(workdir / "eval.json"),
+            "--tasks", str(workdir / tasks),
+            *extra,
+        ]
+
+    return argv
+
+
 BAD_INPUTS = [
     # run-config values
     pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
@@ -640,6 +670,58 @@ BAD_INPUTS = [
         "{dir}/audit.jsonl:1",
         id="golds-not-list",
     ),
+    # paths that are not strings or name a directory
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": 5}),
+        "params policy",
+        id="params-path-not-string",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script_path": ["s.json"]}),
+        "scripted policy",
+        id="script-path-not-string",
+    ),
+    pytest.param(
+        _with_dir(_top_level(policy={"kind": "params", "path": "adir"})),
+        "{dir}/adir",
+        id="params-path-is-directory",
+    ),
+    pytest.param(
+        _with_dir(_top_level(policy={"kind": "scripted", "script_path": "adir"})),
+        "{dir}/adir",
+        id="script-path-is-directory",
+    ),
+    pytest.param(
+        _with_dir(
+            lambda workdir: [
+                "route", "--config", str(workdir / "adir"), "--question", FILM_Q
+            ]
+        ),
+        "{dir}/adir",
+        id="config-is-directory",
+    ),
+    pytest.param(_with_dir(_eval_into("adir")), "{dir}/adir", id="tasks-is-directory"),
+    pytest.param(
+        _with_dir(_eval_into("tasks.jsonl", out="adir")),
+        "{dir}/adir",
+        id="out-is-directory",
+    ),
+    # config values of the wrong type
+    pytest.param(
+        _top_level(trainer={"batch_size": 2.5}), "trainer", id="batch-size-float"
+    ),
+    pytest.param(
+        _top_level(engine={"timeout_ms": "30"}), "engine", id="timeout-string"
+    ),
+    pytest.param(_top_level(reward={"alpha": True}), "reward", id="alpha-bool"),
+    # a blank question, which POST /route answers with 400
+    pytest.param(
+        lambda workdir: [
+            "route", "--config", str(workdir / "route.json"), "--question", "   "
+        ],
+        "route",
+        id="blank-question",
+    ),
 ]
 
 
@@ -666,3 +748,41 @@ def test_integer_price_bills_a_float_cost(workdir, capsys):
     (call,) = record["calls"]
     assert call["output_tokens"] == 48
     assert isinstance(call["cost"], float) and call["cost"] == 96.0
+
+
+# ---------------------------------------------------------------------------
+# route and serve share one Router
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("golds", [None, [FILM_GOLD]], ids=["unscored", "scored"])
+def test_route_prints_the_body_post_route_returns(workdir, capsys, golds):
+    config = str(workdir / "route.json")
+    server = build_server(load_run_config(config), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        payload = {"question": FILM_Q}
+        if golds:
+            payload["golds"] = golds
+        response = requests.post(
+            f"http://127.0.0.1:{server.server_port}/route", json=payload, timeout=10
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert response.status_code == 200
+    gold_flags = ["--gold", golds[0]] if golds else []
+    assert main(["route", "--config", config, "--question", FILM_Q, *gold_flags]) == 0
+    assert capsys.readouterr().out == response.text + "\n"
+
+
+def test_serve_hands_flag_overrides_to_the_server(workdir, monkeypatch):
+    served = []
+    monkeypatch.setattr(
+        cli, "serve_forever", lambda run, host, port, max_inflight: served.append(run)
+    )
+    argv = ["serve", "--config", str(workdir / "route.json"), "--bind", "127.0.0.1:0"]
+    assert main(argv + ["--alpha", "0.0", "--seed", "7"]) == 0
+    assert main(argv) == 0
+    assert [(run.reward.alpha, run.seed) for run in served] == [(0.0, 7), (0.9, 0)]

@@ -5,11 +5,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from http_stub import chat_body, start_scripted_server, stop_server
+
 from multiroute.config import ConfigError, load_pool_config, load_run_config
+from multiroute.engine import EngineConfig
 from multiroute.policies import HttpPolicy, policy_factory
 from multiroute.pool import HttpBackend, SimulatedBackend, dispatch
+from multiroute.rewards import RewardConfig
+from multiroute.trainer import TrainConfig
 
 
 def _pool_mapping():
@@ -290,6 +296,13 @@ def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
         ({"eval_warmup_costs": [float("nan")]}, "run config"),
         ({"eval_warmup_costs": "12"}, "run config"),
         ({"seed": float("inf")}, "run config"),
+        ({"trainer": {"batch_size": 2.5}}, "trainer"),
+        ({"trainer": {"steps": True}}, "trainer"),
+        ({"trainer": {"learning_rate": "0.1"}}, "trainer"),
+        ({"engine": {"timeout_ms": "30"}}, "engine"),
+        ({"engine": {"max_response_tokens": 64.0}}, "engine"),
+        ({"reward": {"alpha": False}}, "reward"),
+        ({"reward": {"window_capacity": None}}, "reward"),
     ],
 )
 def test_run_config_sections_name_their_context(tmp_path, extra, context):
@@ -366,3 +379,47 @@ def test_readme_run_config_example_loads(tmp_path):
     assert run.trainer.feature_dim == 64
     assert run.policy == {"kind": "params", "path": "params.json"}
     assert run.eval_warmup_costs == (0.0, 2.0, 96.0)
+
+
+def test_integer_values_load_for_number_fields(tmp_path):
+    extra = {
+        "engine": {"timeout_ms": 30000, "max_routing_steps": 2},
+        "reward": {"alpha": 1, "epsilon": 1},
+        "trainer": {"learning_rate": 1, "beta": 0, "batch_size": 8},
+    }
+    run = load_run_config(_write_run_config(tmp_path, extra=extra))
+    assert (run.engine.timeout_ms, run.reward.alpha, run.trainer.batch_size) == (
+        30000,
+        1,
+        8,
+    )
+    # numpy scalars are numbers too, for Python callers
+    assert TrainConfig(batch_size=np.int64(4), beta=np.float64(0.5)).batch_size == 4
+    assert RewardConfig(window_capacity=np.int32(8)).window_capacity == 8
+    with pytest.raises(TypeError, match="max_routing_steps must be an integer"):
+        EngineConfig(max_routing_steps=np.float64(2.0))
+
+
+def test_http_policy_restores_a_stripped_stop_from_the_run_lexicon(
+    tmp_path, monkeypatch
+):
+    # The endpoint strips the stop sequence "[/answer]", as chat APIs do.
+    server = start_scripted_server(
+        [{"status": 200, "body": chat_body("[plan]ok[/plan][final]Cusco")}]
+    )
+    monkeypatch.setenv("MULTIROUTE_POLICY_URL", server.url)
+    extra = {
+        "lexicon": {
+            "think": ["[plan]", "[/plan]"],
+            "route": ["[ask]", "[/ask]"],
+            "answer": ["[final]", "[/final]"],
+        },
+        "policy": {"kind": "http", "model": "policy-model"},
+    }
+    try:
+        run = load_run_config(_write_run_config(tmp_path, extra=extra))
+        policy = policy_factory(run)(None)
+        text = policy.generate("context", ["[/ask]", "[/final]"], max_tokens=64)
+    finally:
+        stop_server(server)
+    assert text == "[plan]ok[/plan][final]Cusco[/final]"
