@@ -10,6 +10,7 @@ policy never emits itself (they are excluded from the training loss via
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -107,6 +108,8 @@ class EngineConfig:
             raise ValueError(
                 "max_api_response_tokens cannot exceed max_sequence_tokens"
             )
+        if not 0 < self.timeout_ms < math.inf:
+            raise ValueError("timeout_ms must be positive and finite")
 
 
 class PolicyBackend(abc.ABC):

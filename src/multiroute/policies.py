@@ -8,6 +8,7 @@ section, for the CLI and the HTTP service alike.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -71,6 +72,8 @@ class HttpPolicy(PolicyBackend):
         self.api_key_env = str(api_key_env)
         self.temperature = float(temperature)
         self.timeout_ms = float(timeout_ms)
+        if not 0 < self.timeout_ms < math.inf:
+            raise ValueError("timeout_ms must be positive and finite")
         self.lexicon = lexicon
 
     def generate(

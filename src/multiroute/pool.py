@@ -162,7 +162,7 @@ def _reply_fields(body) -> tuple[str, Optional[int], Optional[str]]:
     """Read (text, completion_tokens, finish_reason) from a 200 reply body.
 
     A body with no usable first choice raises BackendError.  A usage count
-    that is not a non-negative int is dropped, so dispatch measures the text.
+    that is not an int is dropped, so dispatch measures the text.
     """
     if not isinstance(body, dict):
         raise BackendError(200, "reply body is not a JSON object")
@@ -183,7 +183,7 @@ def _reply_fields(body) -> tuple[str, Optional[int], Optional[str]]:
         raise BackendError(200, "reply text is not a string")
     usage = body.get("usage")
     tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-    if type(tokens) is not int or tokens < 0:
+    if type(tokens) is not int:
         tokens = None
     return text, tokens, choice.get("finish_reason")
 
@@ -399,8 +399,10 @@ def dispatch(
     """Send one sub-query to a pool model and price the reply.
 
     The reply is truncated to ``max_api_response_tokens`` whitespace tokens.
-    ``output_tokens`` is the backend-reported usage when available and the
-    reply was not truncated, else the post-truncation whitespace count.
+    ``output_tokens`` is the backend-reported usage when it lies in
+    [0, ``max_api_response_tokens``] and the reply was not truncated, else the
+    post-truncation whitespace count.  So a hostile count can neither bill
+    more than the request allowed nor overflow the cost.
 
     Raises:
         UnknownModelError: ``model_id`` does not resolve.
@@ -418,7 +420,10 @@ def dispatch(
     if measured > max_api_response_tokens:
         text = truncate_tokens(text, max_api_response_tokens)
         tokens = max_api_response_tokens
-    elif reported_tokens is not None:
+    elif (
+        reported_tokens is not None
+        and 0 <= reported_tokens <= max_api_response_tokens
+    ):
         tokens = reported_tokens
     else:
         tokens = measured

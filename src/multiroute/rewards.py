@@ -14,10 +14,9 @@ import numbers
 import re
 import string
 import threading
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .protocol import FormatVerdict
 
@@ -66,7 +65,13 @@ class RewardConfig:
 
 
 class CostWindow:
-    """Bounded ring buffer of transformed episode costs.
+    """Bounded FIFO of transformed episode costs, kept sorted alongside.
+
+    Percentiles are exactly numpy's default ("linear") method: the same
+    floats ``np.percentile`` returns over the window's values.  A push costs
+    O(log n) comparisons plus one list shift, to evict the oldest value from
+    the sorted list and insert the new one.  Values must be finite, which
+    ``cost_reward`` checks; NaN would break the sorted order.
 
     Push and percentile read happen under one lock so concurrent scoring
     never interleaves between the two.
@@ -77,6 +82,7 @@ class CostWindow:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._buffer: deque[float] = deque(maxlen=capacity)
+        self._sorted: list[float] = []
         self._lock = threading.Lock()
         self._pushes = 0
 
@@ -86,16 +92,16 @@ class CostWindow:
         """Append ``value``, then return the (lo, hi) percentiles of the buffer.
 
         Percentiles use linear interpolation between closest ranks
-        (rank = q/100 * (n - 1)) over the buffer contents after the push.
+        (rank = q/100 * (n - 1)) over the buffer contents after the push;
+        ``lo`` and ``hi`` lie in [0, 100].
         """
         with self._lock:
+            if len(self._buffer) == self.capacity:
+                del self._sorted[bisect_left(self._sorted, self._buffer[0])]
             self._buffer.append(value)
+            insort(self._sorted, value)
             self._pushes += 1
-            data = np.fromiter(self._buffer, dtype=float)
-            return (
-                float(np.percentile(data, lo)),
-                float(np.percentile(data, hi)),
-            )
+            return _percentile(self._sorted, lo), _percentile(self._sorted, hi)
 
     def values(self) -> list[float]:
         with self._lock:
@@ -105,6 +111,7 @@ class CostWindow:
         clone = CostWindow(self.capacity)
         with self._lock:
             clone._buffer.extend(self._buffer)
+            clone._sorted.extend(self._sorted)
             clone._pushes = self._pushes
         return clone
 
@@ -114,6 +121,22 @@ class CostWindow:
 
     def __len__(self) -> int:
         return len(self._buffer)
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """The q-th percentile of an ascending list, as ``np.percentile`` computes
+    it bit for bit: the same rank, then numpy's ``_lerp``, which interpolates
+    from the upper neighbour when the fraction is at least one half."""
+    last = len(ordered) - 1
+    index = last * (q / 100.0)
+    below = math.floor(index)
+    if below >= last:
+        return ordered[last]
+    a, b = ordered[below], ordered[below + 1]
+    t = index - below
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 def format_reward(verdict: FormatVerdict) -> int:
@@ -174,9 +197,13 @@ def cost_reward(window: CostWindow, raw_cost: float, config: RewardConfig) -> fl
     The square root of ``raw_cost`` is pushed into the window first, then
     normalized against the window's percentile range.  A degenerate range
     (below ``config.epsilon``) yields the neutral score 0.5.
+
+    Raises:
+        ValueError: ``raw_cost`` is negative, infinite or NaN; the window is
+            left unchanged.
     """
-    if raw_cost < 0:
-        raise ValueError("raw_cost must be nonnegative")
+    if not 0.0 <= raw_cost < math.inf:
+        raise ValueError("raw_cost must be nonnegative and finite")
     transformed = math.sqrt(raw_cost)
     lo, hi = window.push_and_percentiles(
         transformed, config.percentile_lo, config.percentile_hi

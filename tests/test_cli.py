@@ -590,6 +590,9 @@ def _sim_backend(**values):
     return _route_with(lambda c: c["pool"]["models"][0]["backend"].update(values))
 
 
+BAD_TIMEOUTS = (("zero", 0), ("negative", -5), ("nan", float("nan")))
+
+
 def _top_level(**values):
     return _route_with(lambda c: c.update(values))
 
@@ -713,6 +716,21 @@ BAD_INPUTS = [
     pytest.param(
         _top_level(engine={"timeout_ms": "30"}), "engine", id="timeout-string"
     ),
+    # timeouts that are not positive and finite
+    *[
+        pytest.param(
+            _top_level(engine={"timeout_ms": value}), "engine", id=f"timeout-{name}"
+        )
+        for name, value in BAD_TIMEOUTS
+    ],
+    *[
+        pytest.param(
+            _top_level(policy={"kind": "http", "model": "m", "timeout_ms": value}),
+            "http policy",
+            id=f"http-policy-timeout-{name}",
+        )
+        for name, value in BAD_TIMEOUTS
+    ],
     pytest.param(_top_level(reward={"alpha": True}), "reward", id="alpha-bool"),
     # a blank question, which POST /route answers with 400
     pytest.param(

@@ -303,6 +303,9 @@ def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
         ({"engine": {"max_response_tokens": 64.0}}, "engine"),
         ({"reward": {"alpha": False}}, "reward"),
         ({"reward": {"window_capacity": None}}, "reward"),
+        ({"engine": {"timeout_ms": 0}}, "engine"),
+        ({"engine": {"timeout_ms": -5}}, "engine"),
+        ({"engine": {"timeout_ms": float("nan")}}, "engine"),
     ],
 )
 def test_run_config_sections_name_their_context(tmp_path, extra, context):
@@ -318,6 +321,9 @@ def test_run_config_sections_name_their_context(tmp_path, extra, context):
         {"kind": "http", "model": "m", "temperature": "warm"},
         {"kind": "http", "model": ""},
         {"kind": "http"},
+        {"kind": "http", "model": "m", "timeout_ms": 0},
+        {"kind": "http", "model": "m", "timeout_ms": -5},
+        {"kind": "http", "model": "m", "timeout_ms": float("nan")},
     ],
 )
 def test_http_policy_section_is_built_by_http_policy(tmp_path, section):

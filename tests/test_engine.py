@@ -484,6 +484,9 @@ def test_run_episode_parses_the_trajectory_once(case_pool, monkeypatch):
         ({"body": chat_body("a b c", tokens="7")}, None),
         ({"body": chat_body("a b c", tokens=True)}, None),
         ({"body": chat_body("a b c", tokens=7.0)}, None),
+        ({"body": chat_body("a b c", tokens=601)}, None),
+        ({"body": chat_body("a b c", tokens=10**308)}, None),
+        ({"body": chat_body("a b c", tokens=10**400)}, None),
     ],
     ids=[
         "no-choices",
@@ -498,6 +501,9 @@ def test_run_episode_parses_the_trajectory_once(case_pool, monkeypatch):
         "string-usage",
         "bool-usage",
         "float-usage",
+        "usage-above-the-asked-cap",
+        "usage-pricing-to-inf",
+        "usage-overflowing-a-float",
     ],
 )
 def test_malformed_http_reply_does_not_escape_the_episode(monkeypatch, step, error):

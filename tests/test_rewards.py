@@ -151,6 +151,31 @@ def test_window_percentiles_match_manual_interpolation():
         assert p95 == pytest.approx(_oracle_percentile(kept, 95.0), abs=1e-9)
 
 
+# criterion 07's warmup mix, as the window holds it: square roots of raw costs
+_WARMUP_MIX = [math.sqrt(c) for c in [0.0] * 700 + [2.0] * 700 + [96.0] * 600]
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 8000])
+def test_window_percentiles_equal_numpy_exactly(capacity):
+    # The mix's ties make the window evict duplicates; the noise after it
+    # spans 1e-9 to 1e9 and pushes 8000 past its first eviction.
+    rng = random.Random(capacity)
+    stream = _WARMUP_MIX + [
+        rng.choice([0.0, math.sqrt(2.0), 10.0 ** rng.uniform(-9, 9)])
+        for _ in range(6500)
+    ]
+    pairs = [(5.0, 95.0), (0.0, 100.0), (50.0, 99.9)]
+    window = CostWindow(capacity)
+    for i, value in enumerate(stream):
+        lo, hi = pairs[i % len(pairs)]
+        got = window.push_and_percentiles(value, lo, hi)
+        if capacity == 8000 and i % 10 and i < len(stream) - 30:
+            continue  # numpy over 8000 values on every push would be slow
+        data = np.array(stream[max(0, i + 1 - capacity) : i + 1])
+        assert got == (float(np.percentile(data, lo)), float(np.percentile(data, hi)))
+    assert window.values() == stream[-capacity:]
+
+
 def test_window_eviction_order():
     window = CostWindow(capacity=3)
     for value in (1.0, 2.0, 3.0, 4.0):
@@ -162,11 +187,15 @@ def test_window_eviction_order():
 
 def test_window_copy_is_independent():
     window = CostWindow(capacity=4)
-    window.push_and_percentiles(1.0, 5.0, 95.0)
+    for value in (1.0, 2.0, 3.0):
+        window.push_and_percentiles(value, 5.0, 95.0)
     clone = window.copy()
-    clone.push_and_percentiles(9.0, 5.0, 95.0)
-    assert window.values() == [1.0]
-    assert clone.values() == [1.0, 9.0]
+    for value in (9.0, 9.0):  # the second push evicts 1.0 from the clone
+        clone.push_and_percentiles(value, 5.0, 95.0)
+    assert window.values() == [1.0, 2.0, 3.0]
+    assert clone.values() == [2.0, 3.0, 9.0, 9.0]
+    assert window.push_and_percentiles(4.0, 0.0, 100.0) == (1.0, 4.0)
+    assert clone.push_and_percentiles(4.0, 0.0, 100.0) == (3.0, 9.0)
 
 
 def test_cost_reward_inverted_scale():
@@ -203,6 +232,18 @@ def test_cost_reward_rejects_negative_cost():
     window = CostWindow(config.window_capacity)
     with pytest.raises(ValueError):
         cost_reward(window, -1.0, config)
+
+
+@pytest.mark.parametrize("raw", [math.inf, -math.inf, math.nan])
+def test_cost_reward_rejects_non_finite_cost_without_pushing(raw):
+    config = RewardConfig()
+    window = CostWindow(config.window_capacity)
+    for value in (0.0, 4.0, 100.0):
+        cost_reward(window, value, config)
+    with pytest.raises(ValueError, match="finite"):
+        cost_reward(window, raw, config)
+    assert (len(window), window.values(), window.pushes) == (3, [0.0, 2.0, 10.0], 3)
+    assert cost_reward(window, 0.0, config) == 1.0
 
 
 def test_cost_reward_query_never_raises_with_higher_cost():
