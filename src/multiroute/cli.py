@@ -14,7 +14,7 @@ import json
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
-from .engine import FAILURE_NOTICE_PREFIXES, score_episode
+from .engine import reconstruct_cost, score_episode
 from .evaluation import (
     TaskFileError,
     TaskRecord,
@@ -25,14 +25,7 @@ from .evaluation import (
     write_episode_log,
 )
 from .policies import policy_factory
-from .pool import token_count
-from .protocol import (
-    BlockKind,
-    DirectiveError,
-    extract_answer,
-    parse_route_directive,
-    validate_format,
-)
+from .protocol import extract_answer, validate_format
 from .rewards import CostWindow, cost_reward
 from .serve import Router, serve_forever
 from .trainer import train
@@ -74,7 +67,14 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     tasks = load_tasks(args.tasks)
-    result = train(tasks, run.pool, run.trainer, run.reward, run.engine)
+    result = train(
+        tasks,
+        run.pool,
+        run.trainer,
+        run.reward,
+        run.engine,
+        warmup_costs=run.eval_warmup_costs,
+    )
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             for record in result.step_records():
@@ -95,27 +95,6 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
-def _reconstruct_cost(trajectory, run: RunConfig) -> float:
-    """Re-price a logged trajectory from its route/info pairs."""
-    cost = 0.0
-    pending = None
-    for block in trajectory.blocks:
-        if block.kind is BlockKind.ROUTE:
-            try:
-                model_id, _ = parse_route_directive(block.text, run.pool)
-                pending = run.pool.get(model_id)
-            except DirectiveError:
-                pending = None
-        elif block.kind is BlockKind.INFO:
-            interior = block.text.strip()
-            if pending is not None and not interior.startswith(
-                FAILURE_NOTICE_PREFIXES
-            ):
-                cost += pending.cost_per_token * token_count(interior)
-            pending = None
-    return cost
-
-
 def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
     window = CostWindow(run.reward.window_capacity)
     for cost in run.eval_warmup_costs:
@@ -134,7 +113,7 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
         try:
             row = json.loads(line)
             raw = row["raw"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
             raise CliError(f"{where}: bad trajectory row: {exc}")
         if not isinstance(raw, str):
             raise CliError(f"{where}: raw must be a string")
@@ -147,7 +126,7 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
             verdict,
             extract_answer(trajectory) if trajectory else None,
             golds,
-            _reconstruct_cost(trajectory, run) if trajectory else 0.0,
+            reconstruct_cost(trajectory, run.pool) if trajectory else 0.0,
             window,
             run.reward,
         )

@@ -24,7 +24,7 @@ from .pool import (
     load_knowledge_base,
 )
 from .protocol import DEFAULT_LEXICON, TagLexicon
-from .rewards import RewardConfig, normalize_answer
+from .rewards import RewardConfig, check_field_types, normalize_answer
 from .trainer import TrainConfig
 
 
@@ -82,7 +82,7 @@ def read_json(path: str, what: str):
             return json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: invalid JSON: {exc}")
 
 
@@ -137,7 +137,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.policy, dict) or "kind" not in self.policy:
             raise ValueError("policy section must be an object with a 'kind'")
-        self.seed = int(self.seed)
+        check_field_types(self)
         costs = self.eval_warmup_costs
         if not isinstance(costs, (list, tuple)) or not all(
             isinstance(c, (int, float)) and math.isfinite(c) and c >= 0

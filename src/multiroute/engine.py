@@ -25,6 +25,7 @@ from .pool import (
 )
 from .protocol import (
     DEFAULT_LEXICON,
+    BlockKind,
     DirectiveError,
     FormatVerdict,
     TagLexicon,
@@ -274,6 +275,32 @@ def score_episode(
     return compose_breakdown(
         format_reward(verdict), outcome, cost_raw, cost_norm, reward_config.alpha
     )
+
+
+def reconstruct_cost(trajectory: Trajectory, pool: RoutingPool) -> float:
+    """Re-price a logged trajectory from its route/info pairs.
+
+    Each info block bills its route's model per whitespace token, except the
+    failure notices the engine injects (``FAILURE_NOTICE_PREFIXES``), which
+    bill nothing, as their calls did.
+    """
+    cost = 0.0
+    pending = None
+    for block in trajectory.blocks:
+        if block.kind is BlockKind.ROUTE:
+            try:
+                model_id, _ = parse_route_directive(block.text, pool)
+                pending = pool.get(model_id)
+            except DirectiveError:
+                pending = None
+        elif block.kind is BlockKind.INFO:
+            interior = block.text.strip()
+            if pending is not None and not interior.startswith(
+                FAILURE_NOTICE_PREFIXES
+            ):
+                cost += pending.cost_per_token * token_count(interior)
+            pending = None
+    return cost
 
 
 def run_episode(

@@ -66,7 +66,7 @@ def load_tasks(path: str) -> list[TaskRecord]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise TaskFileError(line_no, f"invalid JSON: {exc}")
             if not isinstance(row, dict):
                 raise TaskFileError(line_no, "row must be a JSON object")

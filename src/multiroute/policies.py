@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,6 +19,7 @@ from .config import ConfigError, RunConfig, build_section, read_json
 from .engine import PolicyBackend
 from .pool import chat_completion
 from .protocol import DEFAULT_LEXICON, TagLexicon
+from .rewards import check_field_types
 from .trainer import LearnedRoutingPolicy, PolicyParams
 
 
@@ -47,6 +49,7 @@ class ScriptedPolicy(PolicyBackend):
         return text
 
 
+@dataclass(frozen=True)
 class HttpPolicy(PolicyBackend):
     """Generates continuations from a chat-completions endpoint.
 
@@ -56,25 +59,19 @@ class HttpPolicy(PolicyBackend):
     marker's opening tag comes from ``lexicon``.
     """
 
-    def __init__(
-        self,
-        model: str,
-        url_env: str = "MULTIROUTE_POLICY_URL",
-        api_key_env: str = "MULTIROUTE_POLICY_KEY",
-        temperature: float = 1.0,
-        timeout_ms: float = 60000.0,
-        lexicon: TagLexicon = DEFAULT_LEXICON,
-    ):
-        if not model:
+    model: str
+    url_env: str = "MULTIROUTE_POLICY_URL"
+    api_key_env: str = "MULTIROUTE_POLICY_KEY"
+    temperature: float = 1.0
+    timeout_ms: float = 60000.0
+    lexicon: TagLexicon = DEFAULT_LEXICON
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if not self.model:
             raise ValueError("model is required")
-        self.model = str(model)
-        self.url_env = str(url_env)
-        self.api_key_env = str(api_key_env)
-        self.temperature = float(temperature)
-        self.timeout_ms = float(timeout_ms)
         if not 0 < self.timeout_ms < math.inf:
             raise ValueError("timeout_ms must be positive and finite")
-        self.lexicon = lexicon
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
@@ -150,7 +147,7 @@ def policy_factory(run: RunConfig):
         try:
             with open(path, encoding="utf-8") as f:
                 params = PolicyParams.from_json(f.read())
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"params policy {path}: bad params file: {exc!r}")
 
         def factory(task):

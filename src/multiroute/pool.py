@@ -18,7 +18,7 @@ from typing import Optional
 
 import requests
 
-from .rewards import normalize_answer
+from .rewards import check_field_types, normalize_answer
 
 # Opening words of a model's refusal; policies read replies that start with
 # them as carrying no answer.
@@ -106,9 +106,7 @@ class SimulatedProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "accuracy", float(self.accuracy))
-        object.__setattr__(self, "verbosity", int(self.verbosity))
-        object.__setattr__(self, "seed", int(self.seed))
+        check_field_types(self)
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
         if self.verbosity < 1:
@@ -242,7 +240,7 @@ def chat_completion(
             raise BackendError(response.status_code, response.text[:200])
         try:
             body = response.json()
-        except ValueError:
+        except (ValueError, RecursionError):
             raise BackendError(200, "reply body is not JSON") from None
         return _reply_fields(body)
 
@@ -251,6 +249,7 @@ def chat_completion(
     raise BackendTimeout(str(last_exc))
 
 
+@dataclass(frozen=True)
 class HttpBackend:
     """Chat-completions backend for a remote model endpoint.
 
@@ -258,17 +257,13 @@ class HttpBackend:
     time so credentials never live in config files.
     """
 
-    def __init__(
-        self,
-        model: str,
-        url_env: str = "MULTIROUTE_API_URL",
-        api_key_env: str = "MULTIROUTE_API_KEY",
-        temperature: float = 0.0,
-    ):
-        self.model = str(model)
-        self.url_env = str(url_env)
-        self.api_key_env = str(api_key_env)
-        self.temperature = float(temperature)
+    model: str
+    url_env: str = "MULTIROUTE_API_URL"
+    api_key_env: str = "MULTIROUTE_API_KEY"
+    temperature: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
     def complete(
         self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0
@@ -299,12 +294,10 @@ class ModelDescriptor:
     backend: object
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("id", "display_name", "descriptor_text"):
-            setattr(self, name, str(getattr(self, name)))
             if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be nonempty")
-        self.param_count_b = float(self.param_count_b)
-        self.cost_per_token = float(self.cost_per_token)
         if not 0 < self.param_count_b < math.inf:
             raise ValueError("param_count_b must be positive and finite")
         if not 0 <= self.cost_per_token < math.inf:
@@ -453,7 +446,7 @@ def load_knowledge_base(path: str) -> dict:
                 row = json.loads(line)
                 key = row["key"]
                 answer = row["answer"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad knowledge row: {exc}")
             entries[normalize_answer(str(key))] = str(answer)
     return entries

@@ -25,8 +25,9 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 def check_field_types(config) -> None:
-    """Check that each ``int`` field of a dataclass holds an integer and each
-    ``float`` field a real number; a bool is neither.
+    """Check that each ``int`` field of a dataclass holds an integer, each
+    ``float`` field a real number and each ``str`` field a string; a bool is
+    neither number.  A ``float`` field is then stored as a Python float.
 
     Raises:
         TypeError: naming the first field that holds another type.
@@ -38,10 +39,14 @@ def check_field_types(config) -> None:
             ok, kind = isinstance(value, numbers.Integral), "an integer"
         elif spec.type in ("float", float):
             ok, kind = isinstance(value, numbers.Real), "a number"
+        elif spec.type in ("str", str):
+            ok, kind = isinstance(value, str), "a string"
         else:
             continue
         if not ok or isinstance(value, bool):
             raise TypeError(f"{spec.name} must be {kind}, got {value!r}")
+        if spec.type in ("float", float):
+            object.__setattr__(config, spec.name, float(value))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ MAX_BODY_BYTES = 1 << 20
 # A socket read that waits longer fails, so a client that sends less than
 # its Content-Length cannot hold a handler thread.
 READ_TIMEOUT_S = 10.0
+# How often ``serve_forever`` checks for a shutdown request, and so about how
+# long a SIGINT or SIGTERM waits for the server loop to stop.
+POLL_INTERVAL_S = 0.05
 
 
 class Router:
@@ -116,7 +119,7 @@ class _Handler(BaseHTTPRequestHandler):
         except TimeoutError:
             self._send_json(408, {"error": "timed out reading the body"})
             return
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (RecursionError, KeyError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
 
@@ -148,6 +151,6 @@ def serve_forever(
     signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
     try:
-        server.serve_forever()
+        server.serve_forever(POLL_INTERVAL_S)
     finally:
         server.server_close()

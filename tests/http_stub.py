@@ -7,6 +7,8 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from multiroute.serve import POLL_INTERVAL_S
+
 
 class ScriptedChatHandler(BaseHTTPRequestHandler):
     """Pops one scripted step per POST: {"status", "body" | "raw", "sleep"?}.
@@ -46,7 +48,9 @@ def start_scripted_server(script=()):
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedChatHandler)
     server.script = list(script)
     server.received = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     return server

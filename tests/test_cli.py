@@ -12,12 +12,12 @@ from multiroute import cli
 from multiroute.cli import main
 from multiroute.config import load_run_config
 from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
-from multiroute.evaluation import parse_report
+from multiroute.evaluation import load_tasks, parse_report
 from multiroute.pool import UNABLE_RESPONSE, token_count
 from multiroute.protocol import DirectiveError, DirectiveErrorKind
 from multiroute.rewards import normalize_answer
-from multiroute.serve import build_server
-from multiroute.trainer import PolicyParams, make_synthetic_tasks
+from multiroute.serve import POLL_INTERVAL_S, build_server
+from multiroute.trainer import PolicyParams, make_synthetic_tasks, train
 
 FILM_Q = (
     "Which film was released more recently, Sacred Silence or "
@@ -343,6 +343,37 @@ def test_train_flag_overrides_steps(train_workdir, capsys):
     assert json.loads(capsys.readouterr().out)["steps"] == 1
 
 
+def test_train_primes_its_window_with_eval_warmup_costs(train_workdir, capsys):
+    config_path = train_workdir / "train.json"
+    config = json.loads(config_path.read_text())
+    config.update(reward={"alpha": 0.5}, eval_warmup_costs=[0.0, 1.0e6])
+    config_path.write_text(json.dumps(config))
+    params_path = train_workdir / "params.json"
+    code = main(
+        [
+            "train",
+            "--config", str(config_path),
+            "--tasks", str(train_workdir / "tasks.jsonl"),
+            "--params-out", str(params_path),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    run = load_run_config(str(config_path))
+    tasks = load_tasks(str(train_workdir / "tasks.jsonl"))
+
+    def trained(warmup_costs):
+        result = train(
+            tasks, run.pool, run.trainer, run.reward, run.engine,
+            warmup_costs=warmup_costs,
+        )
+        return result.params.to_json() + "\n"
+
+    primed = trained(run.eval_warmup_costs)
+    assert params_path.read_text() == primed
+    assert trained(()) != primed
+
+
 # ---------------------------------------------------------------------------
 # reward-check
 # ---------------------------------------------------------------------------
@@ -597,11 +628,29 @@ def _top_level(**values):
     return _route_with(lambda c: c.update(values))
 
 
+def _model(**values):
+    return _route_with(lambda c: c["pool"]["models"][0].update(values))
+
+
 def _with_dir(argv):
     """``argv`` after making an empty directory ``adir`` in the workdir."""
 
     def build(workdir):
         (workdir / "adir").mkdir(exist_ok=True)
+        return argv(workdir)
+
+    return build
+
+
+# Nesting deep enough that ``json`` raises RecursionError, in a small file.
+DEEP_JSON = "[" * 100_000
+
+
+def _with_deep_file(name, argv):
+    """``argv`` after writing ``DEEP_JSON`` to ``name`` in the workdir."""
+
+    def build(workdir):
+        (workdir / name).write_text(DEEP_JSON + "\n")
         return argv(workdir)
 
     return build
@@ -740,6 +789,77 @@ BAD_INPUTS = [
         "route",
         id="blank-question",
     ),
+    # values of the wrong type in models, backends and the http policy
+    pytest.param(_sim_backend(verbosity=2.9), "pool model #0", id="verbosity-float"),
+    pytest.param(_sim_backend(verbosity=True), "pool model #0", id="verbosity-bool"),
+    pytest.param(_sim_backend(accuracy="0.5"), "pool model #0", id="accuracy-string"),
+    pytest.param(_sim_backend(seed="7"), "pool model #0", id="sim-seed-string"),
+    pytest.param(_model(param_count_b=True), "pool model #0", id="params-bool"),
+    pytest.param(_model(cost_per_token=True), "pool model #0", id="price-bool"),
+    pytest.param(_model(id=["a"]), "pool model #0", id="model-id-list"),
+    pytest.param(
+        _model(descriptor_text={"x": 1}), "pool model #0", id="descriptor-text-object"
+    ),
+    pytest.param(
+        _model(backend={"type": "http", "model": None}),
+        "pool model #0",
+        id="http-backend-model-null",
+    ),
+    pytest.param(
+        _model(backend={"type": "http", "model": "m", "url_env": None}),
+        "pool model #0",
+        id="http-backend-url-env-null",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "http", "model": "p", "temperature": True}),
+        "http policy",
+        id="http-policy-temperature-bool",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "http", "model": ["p"]}),
+        "http policy",
+        id="http-policy-model-list",
+    ),
+    # JSON nested too deep for the parser, in each file the CLI reads
+    pytest.param(
+        _with_deep_file(
+            "deep.json",
+            lambda workdir: [
+                "route", "--config", str(workdir / "deep.json"), "--question", FILM_Q
+            ],
+        ),
+        "config file {dir}/deep.json",
+        id="config-nested-too-deep",
+    ),
+    pytest.param(
+        _with_deep_file("deep.jsonl", _eval_into("deep.jsonl")),
+        "line 1",
+        id="task-row-nested-too-deep",
+    ),
+    pytest.param(
+        _with_deep_file("deep.jsonl", _sim_backend(kb_path="deep.jsonl")),
+        "pool model #0",
+        id="kb-row-nested-too-deep",
+    ),
+    pytest.param(
+        _with_deep_file(
+            "deep.jsonl",
+            lambda workdir: [
+                "reward-check",
+                "--config", str(workdir / "eval.json"),
+                "--file", str(workdir / "deep.jsonl"),
+            ],
+        ),
+        "{dir}/deep.jsonl:1",
+        id="reward-check-row-nested-too-deep",
+    ),
+    pytest.param(
+        _with_deep_file(
+            "deep.json", _top_level(policy={"kind": "params", "path": "deep.json"})
+        ),
+        "params policy {dir}/deep.json",
+        id="params-file-nested-too-deep",
+    ),
 ]
 
 
@@ -777,7 +897,9 @@ def test_integer_price_bills_a_float_cost(workdir, capsys):
 def test_route_prints_the_body_post_route_returns(workdir, capsys, golds):
     config = str(workdir / "route.json")
     server = build_server(load_run_config(config), "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     try:
         payload = {"question": FILM_Q}

@@ -306,6 +306,8 @@ def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
         ({"engine": {"timeout_ms": 0}}, "engine"),
         ({"engine": {"timeout_ms": -5}}, "engine"),
         ({"engine": {"timeout_ms": float("nan")}}, "engine"),
+        ({"seed": 2.9}, "run config"),
+        ({"seed": True}, "run config"),
     ],
 )
 def test_run_config_sections_name_their_context(tmp_path, extra, context):
@@ -404,6 +406,19 @@ def test_integer_values_load_for_number_fields(tmp_path):
     assert RewardConfig(window_capacity=np.int32(8)).window_capacity == 8
     with pytest.raises(TypeError, match="max_routing_steps must be an integer"):
         EngineConfig(max_routing_steps=np.float64(2.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HttpBackend(model=None),
+        lambda: HttpPolicy(model="p", temperature=True),
+    ],
+    ids=["backend-model-none", "policy-temperature-bool"],
+)
+def test_http_clients_check_their_field_types(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_http_policy_restores_a_stripped_stop_from_the_run_lexicon(

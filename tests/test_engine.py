@@ -487,6 +487,7 @@ def test_run_episode_parses_the_trajectory_once(case_pool, monkeypatch):
         ({"body": chat_body("a b c", tokens=601)}, None),
         ({"body": chat_body("a b c", tokens=10**308)}, None),
         ({"body": chat_body("a b c", tokens=10**400)}, None),
+        ({"raw": "[" * 100_000}, "not JSON"),
     ],
     ids=[
         "no-choices",
@@ -504,6 +505,7 @@ def test_run_episode_parses_the_trajectory_once(case_pool, monkeypatch):
         "usage-above-the-asked-cap",
         "usage-pricing-to-inf",
         "usage-overflowing-a-float",
+        "body-nested-too-deep",
     ],
 )
 def test_malformed_http_reply_does_not_escape_the_episode(monkeypatch, step, error):

@@ -377,9 +377,14 @@ def test_http_backend_requires_url_env(monkeypatch):
 
 
 def test_constructors_coerce_numbers_as_config_files_do():
-    profile = SimulatedProfile(accuracy=1, verbosity=8.0, seed="3")
+    profile = SimulatedProfile(accuracy=1, verbosity=8, seed=3)
     assert (profile.accuracy, profile.verbosity, profile.seed) == (1.0, 8, 3)
     assert type(profile.accuracy) is float and type(profile.verbosity) is int
+    # an integer field takes only an integer, as EngineConfig's do
+    with pytest.raises(TypeError, match="verbosity must be an integer"):
+        SimulatedProfile(verbosity=8.0)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        SimulatedProfile(seed="3")
     descriptor = ModelDescriptor("m", "M", 7, 2, "d", SimulatedBackend(profile))
     assert type(descriptor.param_count_b) is float
     assert type(descriptor.cost_per_token) is float

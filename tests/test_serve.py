@@ -12,7 +12,7 @@ import requests
 from multiroute import serve
 from multiroute.config import load_run_config
 from multiroute.rewards import normalize_answer
-from multiroute.serve import MAX_BODY_BYTES, build_server
+from multiroute.serve import MAX_BODY_BYTES, POLL_INTERVAL_S, build_server
 
 FILM_Q = (
     "Which film was released more recently, Sacred Silence or "
@@ -65,7 +65,9 @@ def _run_config(tmp_path, policy=None):
 @pytest.fixture
 def server(tmp_path):
     instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
-    thread = threading.Thread(target=instance.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     instance.base_url = f"http://127.0.0.1:{instance.server_port}"
     yield instance
@@ -155,7 +157,9 @@ def test_malformed_json_is_400(server):
 
 def test_saturated_server_returns_503(tmp_path):
     instance = build_server(_run_config(tmp_path), "127.0.0.1", 0, max_inflight=0)
-    thread = threading.Thread(target=instance.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     try:
         response = requests.post(
@@ -176,7 +180,9 @@ def test_episode_failure_returns_500(tmp_path, monkeypatch):
         policy={"kind": "http", "model": "m", "url_env": "NO_SUCH_POLICY_URL"},
     )
     instance = build_server(run, "127.0.0.1", 0)
-    thread = threading.Thread(target=instance.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     try:
         response = requests.post(
@@ -224,6 +230,16 @@ def test_body_that_is_not_an_object_is_400(server, body):
         b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
     )
     assert status_line.split()[1] == b"400"
+    response = requests.get(f"{server.base_url}/health", timeout=5)
+    assert response.status_code == 200
+
+
+def test_deeply_nested_body_is_400(server):
+    response = requests.post(
+        f"{server.base_url}/route", data="[" * 100_000, timeout=5
+    )
+    assert response.status_code == 400
+    assert "error" in response.json()
     response = requests.get(f"{server.base_url}/health", timeout=5)
     assert response.status_code == 200
 
