@@ -140,7 +140,10 @@ class RunConfig:
         check_field_types(self)
         costs = self.eval_warmup_costs
         if not isinstance(costs, (list, tuple)) or not all(
-            isinstance(c, (int, float)) and math.isfinite(c) and c >= 0
+            isinstance(c, (int, float))
+            and not isinstance(c, bool)
+            and math.isfinite(c)
+            and c >= 0
             for c in costs
         ):
             raise ValueError("eval_warmup_costs must be finite numbers >= 0")

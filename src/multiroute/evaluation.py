@@ -71,9 +71,14 @@ def load_tasks(path: str) -> list[TaskRecord]:
             if not isinstance(row, dict):
                 raise TaskFileError(line_no, "row must be a JSON object")
             try:
+                task_id = row["id"]
+                if isinstance(task_id, bool) or not isinstance(task_id, (str, int)):
+                    raise ValueError(
+                        f"id must be a string or an integer, got {task_id!r}"
+                    )
                 # A task row must carry golds: null fails like an empty list.
                 task = TaskRecord(
-                    id=str(row["id"]),
+                    id=str(task_id),
                     question=row["question"],
                     golds=row["golden_answers"] or [],
                 )

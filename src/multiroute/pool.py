@@ -264,6 +264,8 @@ class HttpBackend:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if not self.model:
+            raise ValueError("model is required")
 
     def complete(
         self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0

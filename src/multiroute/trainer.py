@@ -14,6 +14,7 @@ frozen copy of the initial policy as the KL reference.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -121,14 +122,24 @@ def featurize(
     The last ``max_steps + 1`` slots encode the current round (clamped), the
     rest accumulate crc32-hashed lowercase token counts.
     """
-    step_slots = max_steps + 1
-    word_dim = feature_dim - step_slots
+    features = _word_counts(question, feature_dim, max_steps)
+    return _set_round(features, step_index, max_steps)
+
+
+def _word_counts(question: str, feature_dim: int, max_steps: int) -> np.ndarray:
+    """`featurize`'s vector with every round slot still zero."""
+    word_dim = feature_dim - (max_steps + 1)
     if word_dim < 1:
         raise ValueError("feature_dim too small for the step one-hot")
     features = np.zeros(feature_dim, dtype=float)
     for token in question.lower().split():
         features[zlib.crc32(token.encode()) % word_dim] += 1.0
-    features[word_dim + min(step_index, max_steps)] = 1.0
+    return features
+
+
+def _set_round(features: np.ndarray, step_index: int, max_steps: int) -> np.ndarray:
+    """Set the round one-hot slot of ``features`` in place and return it."""
+    features[features.size - (max_steps + 1) + min(step_index, max_steps)] = 1.0
     return features
 
 
@@ -142,9 +153,21 @@ def action_distribution(params: PolicyParams, features: np.ndarray) -> np.ndarra
 def sample_action(
     params: PolicyParams, features: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
-    """Sample an action index; returns (index, full probability vector)."""
+    """Sample an action index; returns (index, full probability vector).
+
+    The draw is ``rng.choice(len(probs), p=probs / probs.sum())`` done
+    inline with numpy's own algorithm: one double from ``rng``, the same
+    index and the same generator state afterwards.
+
+    Raises:
+        ValueError: the probabilities are not finite.
+    """
     probs = action_distribution(params, features)
-    index = int(rng.choice(len(probs), p=probs / probs.sum()))
+    cdf = (probs / probs.sum()).cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("action probabilities are not finite")
+    cdf /= cdf[-1]
+    index = int(cdf.searchsorted(rng.random(), side="right"))
     return index, probs
 
 
@@ -152,6 +175,8 @@ def sample_action(
 class DecisionStep:
     features: np.ndarray
     action: int
+    # The distribution the action was sampled from, kept for the entropy.
+    probs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -189,6 +214,8 @@ class LearnedRoutingPolicy(PolicyBackend):
         self._round = 0
         self._prev_context_len: Optional[int] = None
         self._facts: list[str] = []
+        # The question's word counts, hashed on the first decision.
+        self._words: Optional[np.ndarray] = None
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
@@ -202,11 +229,13 @@ class LearnedRoutingPolicy(PolicyBackend):
         if answer_only:
             return self._emit_answer()
 
-        features = featurize(
-            self.question, self._round, self.params.feature_dim, self.max_steps
-        )
-        index, _ = sample_action(self.params, features, self.rng)
-        self.decisions.append(DecisionStep(features=features, action=index))
+        if self._words is None:
+            self._words = _word_counts(
+                self.question, self.params.feature_dim, self.max_steps
+            )
+        features = _set_round(self._words.copy(), self._round, self.max_steps)
+        index, probs = sample_action(self.params, features, self.rng)
+        self.decisions.append(DecisionStep(features, index, probs))
         self._round += 1
         if self.params.actions[index] == ANSWER_ACTION:
             return self._emit_answer()
@@ -437,8 +466,8 @@ def train(
             batch.append(sample)
             costs.append(episode.rewards.cost_raw)
             for decision in sample.steps:
-                probs = action_distribution(params, decision.features)
-                entropies.append(float(-np.sum(probs * np.log(probs + 1e-12))))
+                probs = decision.probs
+                entropies.append(float(-(probs * np.log(probs + 1e-12)).sum()))
             for call in episode.calls:
                 if call.model_id in call_counts:
                     call_counts[call.model_id] += 1

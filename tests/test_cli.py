@@ -860,6 +860,14 @@ BAD_INPUTS = [
         "params policy {dir}/deep.json",
         id="params-file-nested-too-deep",
     ),
+    pytest.param(
+        _top_level(eval_warmup_costs=[True, False]), "run config", id="warmup-cost-bool"
+    ),
+    pytest.param(
+        _model(backend={"type": "http", "model": ""}),
+        "pool model #0",
+        id="http-backend-model-empty",
+    ),
 ]
 
 

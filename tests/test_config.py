@@ -276,6 +276,7 @@ def _set(path, value):
         _set(["models", 0, "backend", "kb_path"], 5),
         _set(["models", 0, "backend"], "sim"),
         _set(["models", 1, "backend", "temperature"], "warm"),
+        _set(["models", 1, "backend", "model"], ""),
     ],
 )
 def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
@@ -308,6 +309,7 @@ def test_pool_sections_reject_unknown_keys_and_bad_values(mutate):
         ({"engine": {"timeout_ms": float("nan")}}, "engine"),
         ({"seed": 2.9}, "run config"),
         ({"seed": True}, "run config"),
+        ({"eval_warmup_costs": [True, False]}, "run config"),
     ],
 )
 def test_run_config_sections_name_their_context(tmp_path, extra, context):
@@ -419,6 +421,11 @@ def test_integer_values_load_for_number_fields(tmp_path):
 def test_http_clients_check_their_field_types(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_http_backend_requires_a_model():
+    with pytest.raises(ValueError, match="model is required"):
+        HttpBackend(model="")
 
 
 def test_http_policy_restores_a_stripped_stop_from_the_run_lexicon(

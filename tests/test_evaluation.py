@@ -61,6 +61,10 @@ def test_load_tasks_happy_path(tmp_path):
         (json.dumps({"id": "a", "question": "  ", "golden_answers": ["x"]}), 1),
         (json.dumps({"id": "a", "question": "q", "golden_answers": []}), 1),
         (json.dumps({"id": "a", "question": "q", "golden_answers": [1]}), 1),
+        (json.dumps({"id": ["a"], "question": "q", "golden_answers": ["x"]}), 1),
+        (json.dumps({"id": None, "question": "q", "golden_answers": ["x"]}), 1),
+        (json.dumps({"id": True, "question": "q", "golden_answers": ["x"]}), 1),
+        (json.dumps({"id": 1.5, "question": "q", "golden_answers": ["x"]}), 1),
     ],
 )
 def test_load_tasks_rejects_bad_rows(tmp_path, row, line_no):

@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` times the program by rebinding module attributes:
 each front end's ``run_episode`` and warmup ``cost_reward``, and the engine's
-``cost_reward``, ``dispatch``, ``validate_format`` and ``parse_trajectory``.
+``cost_reward``, ``dispatch``, ``validate_format`` and ``parse_trajectory``,
+and the trainer's ``LearnedRoutingPolicy.generate``.
 A refactor that stops calling through one of those names breaks only a traced
 benchmark run; these tests catch it in the suite instead.
 """
@@ -76,15 +77,17 @@ def _through_serve(pool):
 
 
 @pytest.mark.parametrize(
-    "front_end, drive",
+    "front_end, drive, front_end_spans",
     [
-        (trainer, _through_trainer),
-        (evaluation, _through_evaluation),
-        (serve, _through_serve),
+        (trainer, _through_trainer, ("trainer.decision",)),
+        (evaluation, _through_evaluation, ()),
+        (serve, _through_serve, ()),
     ],
     ids=["trainer", "evaluation", "serve"],
 )
-def test_engine_spans_see_one_scored_episode(case_pool, front_end, drive):
+def test_engine_spans_see_one_scored_episode(
+    case_pool, front_end, drive, front_end_spans
+):
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
     original = front_end.run_episode
@@ -95,5 +98,7 @@ def test_engine_spans_see_one_scored_episode(case_pool, front_end, drive):
         tracer.restore()
     assert front_end.run_episode is original
     spans = tracer.snapshot()
-    counts = {name: spans.get(name, {}).get("count", 0) for name in SPANS}
+    counts = {
+        name: spans.get(name, {}).get("count", 0) for name in SPANS + front_end_spans
+    }
     assert all(count >= 1 for count in counts.values()), counts

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from multiroute.pool import (
 )
 from multiroute.protocol import DEFAULT_LEXICON
 from multiroute.rewards import CostWindow, RewardConfig
+from multiroute import trainer
 from multiroute.trainer import (
     ABSTAIN_TEXT,
     ANSWER_ACTION,
@@ -155,6 +159,44 @@ def test_sample_action_is_seed_deterministic():
     assert seq_b == seq_c
     assert draws_a[0] == seq_b[0]
     assert set(seq_b) <= {0, 1, 2}
+
+
+def test_sample_action_draws_like_generator_choice():
+    """The inline draw is ``Generator.choice(n, p=probs / probs.sum())``:
+    equal indices, and the twin generators end in equal states."""
+    spec_rng = np.random.default_rng(2024)
+    ours, theirs = np.random.default_rng(77), np.random.default_rng(77)
+    feature_dim = 8
+    features = np.ones(feature_dim)
+    for trial in range(6000):
+        n_actions = int(spec_rng.integers(2, 9))
+        scale = (0.1, 3.0, 40.0, 400.0)[trial % 4]
+        params = PolicyParams(
+            feature_dim,
+            tuple(f"a{i}" for i in range(n_actions)),
+            spec_rng.normal(scale=scale, size=(feature_dim, n_actions)),
+        )
+        index, probs = sample_action(params, features, ours)
+        expected = int(theirs.choice(len(probs), p=probs / probs.sum()))
+        assert index == expected, trial
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sample_action_rejects_non_finite_weights(value):
+    params = PolicyParams.initial(16, _two_model_pool())
+    params.weights[:, 0] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        sample_action(params, featurize("pick", 0, 16), np.random.default_rng(0))
+
+
+def test_decision_step_probs_stay_out_of_eq_and_repr():
+    features = featurize("q", 0, 16)
+    bare = DecisionStep(features=features, action=1)
+    kept = DecisionStep(features, 1, np.array([0.2, 0.5, 0.3]))
+    assert bare.probs is None
+    assert bare == kept
+    assert repr(bare) == repr(kept)
 
 
 def test_train_config_validation():
@@ -502,6 +544,87 @@ def test_train_is_bit_reproducible():
     assert report_a.mean_cost == report_b.mean_cost
     assert report_a.entropy == report_b.entropy
     assert report_a.route_fractions == report_b.route_fractions
+
+
+# sha256 of a seeded report with the default beta (KL path on), from the
+# trainer as it was before the decision path kept its probabilities.
+GOLDEN_TRAIN_SHA256 = "a5453b2b41c6be1fa19481728c86f9138671e0a5760356f7be139983edc2385d"
+
+
+def test_train_bytes_match_golden_hash():
+    pool, tasks = _task_pool_and_tasks(n_tasks=6, two_fact_ratio=0.5)
+    config = TrainConfig(
+        steps=4, batch_size=6, learning_rate=0.3, seed=12, feature_dim=16
+    )
+    assert config.beta == 0.01
+    report = train(tasks, pool, config, RewardConfig(alpha=0.3))
+    blob = json.dumps(
+        {
+            "params": report.params.to_json(),
+            "mean_reward": report.mean_reward,
+            "mean_cost": report.mean_cost,
+            "entropy": report.entropy,
+            "route_fractions": report.route_fractions,
+        },
+        sort_keys=True,
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_TRAIN_SHA256
+
+
+def test_train_runs_one_softmax_per_decision(monkeypatch):
+    softmaxes, samples = [], []
+    original_distribution = trainer.action_distribution
+    original_rollout = trainer.rollout
+
+    def counted_distribution(params, features):
+        softmaxes.append(1)
+        return original_distribution(params, features)
+
+    def recorded_rollout(*args, **kwargs):
+        episode, sample = original_rollout(*args, **kwargs)
+        samples.append(sample)
+        return episode, sample
+
+    monkeypatch.setattr(trainer, "action_distribution", counted_distribution)
+    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
+    train(tasks, pool, TrainConfig(steps=3, batch_size=4, feature_dim=16, seed=4))
+    decisions = sum(len(sample.steps) for sample in samples)
+    assert decisions >= len(samples) == 12
+    assert len(softmaxes) == decisions
+
+
+def test_adapter_features_equal_featurize_each_round():
+    pool = _two_model_pool()
+    params = _forced_params(pool, route_id="m1", answer_round=3)
+    word_dim = 32 - 5
+    params.weights[word_dim + 1, params.actions.index("m1")] = 50.0
+    params.weights[word_dim + 2, params.actions.index("m1")] = 50.0
+    question = "What is the colour of the colour wheel?"
+    policy = LearnedRoutingPolicy(
+        params, question, pool, np.random.default_rng(0), DEFAULT_LEXICON
+    )
+    context = "P"
+    for _ in range(4):
+        context += policy.generate(context, ["</search>", "</answer>"], 128)
+    assert len(policy.decisions) == 4
+    for round_index, decision in enumerate(policy.decisions):
+        expected = featurize(question, round_index, 32)
+        assert np.array_equal(decision.features, expected)
+        assert np.array_equal(
+            decision.probs, action_distribution(params, expected)
+        )
+
+
+def test_adapter_checks_feature_dim_on_its_first_decision():
+    pool = _two_model_pool()
+    params = PolicyParams.initial(5, pool)
+    policy = LearnedRoutingPolicy(
+        params, "q?", pool, np.random.default_rng(0), DEFAULT_LEXICON
+    )
+    policy.generate("ctx", ["</answer>"], 128)  # answer-only: no features
+    with pytest.raises(ValueError, match="feature_dim too small"):
+        policy.generate("ctx", ["</search>", "</answer>"], 128)
 
 
 def test_train_report_shapes_and_first_step_entropy():
