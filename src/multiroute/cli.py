@@ -4,7 +4,7 @@ Subcommands: route (one question), eval (task file -> metrics), train
 (task file -> params + metric series), reward-check (recompute rewards for
 logged trajectories), serve (HTTP service).  Flags override config-file
 values, which override defaults.  Exit code 2 flags config or input-file
-problems.
+problems; exit code 1 flags a policy endpoint that failed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .evaluation import (
     write_episode_log,
 )
 from .policies import policy_factory
+from .pool import BackendError, BackendTimeout
 from .protocol import extract_answer, validate_format
 from .rewards import CostWindow, cost_reward
 from .serve import Router, serve_forever
@@ -220,6 +221,9 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if "." in k or k == "seed"}
     try:
         return args.func(args, load_run_config(args.config, overrides))
+    except (BackendError, BackendTimeout) as exc:
+        print(f"error: policy: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, TaskFileError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .pool import (
+    DEFAULT_MAX_API_RESPONSE_TOKENS,
+    DEFAULT_TIMEOUT_MS,
     UNABLE_PREFIX,
     BackendError,
     BackendTimeout,
@@ -91,8 +93,8 @@ class EngineConfig:
     max_routing_steps: int = 4
     max_response_tokens: int = 1024
     max_sequence_tokens: int = 4096
-    max_api_response_tokens: int = 600
-    timeout_ms: float = 30000.0
+    max_api_response_tokens: int = DEFAULT_MAX_API_RESPONSE_TOKENS
+    timeout_ms: float = DEFAULT_TIMEOUT_MS
     lexicon: TagLexicon = DEFAULT_LEXICON
 
     def __post_init__(self) -> None:
@@ -201,19 +203,6 @@ def _handle_route(
     """
     try:
         model_id, sub_query = parse_route_directive(interior, pool)
-    except DirectiveError as exc:
-        notice = _directive_error_notice(exc)
-        record = CallRecord(
-            model_id=exc.name.strip() or "(unrouted)",
-            sub_query=interior.strip(),
-            response_text=notice,
-            output_tokens=0,
-            cost=0.0,
-            latency_ms=0.0,
-            error=str(exc),
-        )
-        return record, notice
-    try:
         record = dispatch(
             pool,
             model_id,
@@ -221,18 +210,23 @@ def _handle_route(
             max_api_response_tokens=config.max_api_response_tokens,
             timeout_ms=config.timeout_ms,
         )
-        return record, record.response_text
+    except DirectiveError as exc:
+        model_id, sub_query = exc.name.strip() or "(unrouted)", interior.strip()
+        notice, error = _directive_error_notice(exc), exc
     except (BackendTimeout, BackendError) as exc:
-        record = CallRecord(
-            model_id=model_id,
-            sub_query=sub_query,
-            response_text=NO_ASSISTANCE_TEXT,
-            output_tokens=0,
-            cost=0.0,
-            latency_ms=0.0,
-            error=str(exc),
-        )
-        return record, NO_ASSISTANCE_TEXT
+        notice, error = NO_ASSISTANCE_TEXT, exc
+    else:
+        return record, record.response_text
+    record = CallRecord(
+        model_id=model_id,
+        sub_query=sub_query,
+        response_text=notice,
+        output_tokens=0,
+        cost=0.0,
+        latency_ms=0.0,
+        error=str(error),
+    )
+    return record, notice
 
 
 def _fit_info_to_budget(

@@ -25,8 +25,9 @@ class DuplicateTaskIdError(TaskFileError):
 class TaskRecord:
     """One question; ``id`` and ``golds`` are None for ad-hoc questions.
 
-    Raises ValueError unless the question is a nonempty string and the golds
-    are None or pass ``is_gold_list``.
+    Raises ValueError unless the question is a nonempty string that encodes
+    as UTF-8 (so holds no lone surrogate) and the golds are None or pass
+    ``is_gold_list``.
     """
 
     id: Optional[str]
@@ -36,6 +37,12 @@ class TaskRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.question, str) or not self.question.strip():
             raise ValueError("question must be a nonempty string")
+        try:
+            self.question.encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"question holds a lone surrogate at index {exc.start}"
+            ) from None
         if self.golds is not None and not is_gold_list(self.golds):
             raise ValueError("golds must be a nonempty list of strings")
 

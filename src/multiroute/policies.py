@@ -17,10 +17,9 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, build_section, read_json
 from .engine import PolicyBackend
-from .pool import chat_completion
+from .pool import ChatEndpoint
 from .protocol import DEFAULT_LEXICON, TagLexicon
-from .rewards import check_field_types
-from .trainer import LearnedRoutingPolicy, PolicyParams
+from .trainer import ANSWER_ACTION, LearnedRoutingPolicy, PolicyParams
 
 
 class ScriptedPolicy(PolicyBackend):
@@ -50,7 +49,7 @@ class ScriptedPolicy(PolicyBackend):
 
 
 @dataclass(frozen=True)
-class HttpPolicy(PolicyBackend):
+class HttpPolicy(ChatEndpoint, PolicyBackend):
     """Generates continuations from a chat-completions endpoint.
 
     Most APIs strip the stop sequence from the returned text; the engine's
@@ -59,7 +58,6 @@ class HttpPolicy(PolicyBackend):
     marker's opening tag comes from ``lexicon``.
     """
 
-    model: str
     url_env: str = "MULTIROUTE_POLICY_URL"
     api_key_env: str = "MULTIROUTE_POLICY_KEY"
     temperature: float = 1.0
@@ -67,24 +65,15 @@ class HttpPolicy(PolicyBackend):
     lexicon: TagLexicon = DEFAULT_LEXICON
 
     def __post_init__(self) -> None:
-        check_field_types(self)
-        if not self.model:
-            raise ValueError("model is required")
+        super().__post_init__()
         if not 0 < self.timeout_ms < math.inf:
             raise ValueError("timeout_ms must be positive and finite")
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
     ) -> str:
-        text, _, finish_reason = chat_completion(
-            self.url_env,
-            self.api_key_env,
-            self.model,
-            context,
-            max_tokens,
-            self.temperature,
-            self.timeout_ms,
-            stop=stop_markers,
+        text, _, finish_reason = self.chat(
+            context, max_tokens, self.timeout_ms, stop=stop_markers
         )
         if finish_reason == "stop" and not any(
             text.rstrip().endswith(marker) for marker in stop_markers
@@ -149,6 +138,21 @@ def policy_factory(run: RunConfig):
                 params = PolicyParams.from_json(f.read())
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"params policy {path}: bad params file: {exc!r}")
+        unknown = [
+            action
+            for action in params.actions
+            if action != ANSWER_ACTION and run.pool.resolve(action) is None
+        ]
+        if unknown:
+            raise ConfigError(
+                f"params policy {path}: actions not in the pool: {unknown}"
+            )
+        steps = run.engine.max_routing_steps
+        if params.feature_dim <= steps + 1:
+            raise ConfigError(
+                f"params policy {path}: feature_dim {params.feature_dim} leaves "
+                f"no word slots beside the round one-hot of {steps} steps"
+            )
 
         def factory(task):
             rng = np.random.default_rng(run.seed)

@@ -45,6 +45,10 @@ ASSIST_PROMPT = (
     f"{SUB_QUERY_MARKER} {{sub_query}}"
 )
 
+# Defaults for one dispatched call: the reply's token cap and its timeout.
+DEFAULT_MAX_API_RESPONSE_TOKENS = 600
+DEFAULT_TIMEOUT_MS = 30000.0
+
 _FILLER_WORDS = (
     "supporting context follows covering adjacent details "
     "records sources and related notes for completeness"
@@ -125,7 +129,7 @@ class SimulatedBackend:
         self.profile = profile
 
     def complete(
-        self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0
+        self, prompt: str, max_tokens: int, timeout_ms: float = DEFAULT_TIMEOUT_MS
     ) -> tuple[str, Optional[int], Optional[float]]:
         sub_query = self._extract_sub_query(prompt)
         key = normalize_answer(sub_query)
@@ -186,75 +190,13 @@ def _reply_fields(body) -> tuple[str, Optional[int], Optional[str]]:
     return text, tokens, choice.get("finish_reason")
 
 
-def chat_completion(
-    url_env: str,
-    api_key_env: str,
-    model: str,
-    prompt: str,
-    max_tokens: int,
-    temperature: float,
-    timeout_ms: float,
-    stop: Optional[list[str]] = None,
-) -> tuple[str, Optional[int], Optional[str]]:
-    """POST one chat completion; returns (text, completion_tokens, finish_reason).
-
-    The endpoint URL and API key are read from the environment variables
-    named by ``url_env`` and ``api_key_env`` at call time, so credentials
-    never live in config files.  Retries once on timeout, connection
-    failure, or 5xx, then raises BackendTimeout / BackendError; an unset URL,
-    a non-200 reply or a malformed 200 body raises BackendError.
-    """
-    url = os.environ.get(url_env)
-    if not url:
-        raise BackendError(0, f"environment variable {url_env} is not set")
-    api_key = os.environ.get(api_key_env, "")
-    payload = {
-        "model": model,
-        "messages": [{"role": "user", "content": prompt}],
-        "max_tokens": max_tokens,
-        "temperature": temperature,
-    }
-    if stop:
-        payload["stop"] = stop
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-
-    last_exc: Exception | None = None
-    last_status: Optional[int] = None
-    for _ in range(2):
-        try:
-            response = requests.post(
-                url, json=payload, headers=headers, timeout=timeout_ms / 1000.0
-            )
-        except requests.Timeout as exc:
-            last_exc = exc
-            continue
-        except requests.ConnectionError as exc:
-            last_exc = exc
-            continue
-        if response.status_code >= 500:
-            last_status = response.status_code
-            continue
-        if response.status_code != 200:
-            raise BackendError(response.status_code, response.text[:200])
-        try:
-            body = response.json()
-        except (ValueError, RecursionError):
-            raise BackendError(200, "reply body is not JSON") from None
-        return _reply_fields(body)
-
-    if last_status is not None:
-        raise BackendError(last_status, "retried once")
-    raise BackendTimeout(str(last_exc))
-
-
 @dataclass(frozen=True)
-class HttpBackend:
-    """Chat-completions backend for a remote model endpoint.
+class ChatEndpoint:
+    """A chat-completions endpoint: the model name and the environment
+    variables that hold the endpoint URL and API key.
 
-    The endpoint URL and API key are read from environment variables at call
-    time so credentials never live in config files.
+    Both variables are read at call time, so credentials never live in
+    config files.
     """
 
     model: str
@@ -267,19 +209,70 @@ class HttpBackend:
         if not self.model:
             raise ValueError("model is required")
 
+    def chat(
+        self,
+        prompt: str,
+        max_tokens: int,
+        timeout_ms: float,
+        stop: Optional[list[str]] = None,
+    ) -> tuple[str, Optional[int], Optional[str]]:
+        """POST one chat completion; returns (text, completion_tokens,
+        finish_reason).
+
+        Retries once on timeout, connection failure, or 5xx, then raises
+        BackendTimeout / BackendError; an unset URL, a non-200 reply or a
+        malformed 200 body raises BackendError.
+        """
+        url = os.environ.get(self.url_env)
+        if not url:
+            raise BackendError(0, f"environment variable {self.url_env} is not set")
+        api_key = os.environ.get(self.api_key_env, "")
+        payload = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "max_tokens": max_tokens,
+            "temperature": self.temperature,
+        }
+        if stop:
+            payload["stop"] = stop
+        headers = {"Content-Type": "application/json"}
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+
+        last_exc: Exception | None = None
+        last_status: Optional[int] = None
+        for _ in range(2):
+            try:
+                response = requests.post(
+                    url, json=payload, headers=headers, timeout=timeout_ms / 1000.0
+                )
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                last_exc = exc
+                continue
+            if response.status_code >= 500:
+                last_status = response.status_code
+                continue
+            if response.status_code != 200:
+                raise BackendError(response.status_code, response.text[:200])
+            try:
+                body = response.json()
+            except (ValueError, RecursionError):
+                raise BackendError(200, "reply body is not JSON") from None
+            return _reply_fields(body)
+
+        if last_status is not None:
+            raise BackendError(last_status, "retried once")
+        raise BackendTimeout(str(last_exc))
+
+
+class HttpBackend(ChatEndpoint):
+    """Pool backend for a remote model behind a chat-completions endpoint."""
+
     def complete(
-        self, prompt: str, max_tokens: int, timeout_ms: float = 30000.0
+        self, prompt: str, max_tokens: int, timeout_ms: float = DEFAULT_TIMEOUT_MS
     ) -> tuple[str, Optional[int], Optional[float]]:
         started = time.perf_counter()
-        text, tokens, _ = chat_completion(
-            self.url_env,
-            self.api_key_env,
-            self.model,
-            prompt,
-            max_tokens,
-            self.temperature,
-            timeout_ms,
-        )
+        text, tokens, _ = self.chat(prompt, max_tokens, timeout_ms)
         latency_ms = (time.perf_counter() - started) * 1000.0
         return text, tokens, latency_ms
 
@@ -388,8 +381,8 @@ def dispatch(
     pool: RoutingPool,
     model_id: str,
     sub_query: str,
-    max_api_response_tokens: int = 600,
-    timeout_ms: float = 30000.0,
+    max_api_response_tokens: int = DEFAULT_MAX_API_RESPONSE_TOKENS,
+    timeout_ms: float = DEFAULT_TIMEOUT_MS,
 ) -> CallRecord:
     """Send one sub-query to a pool model and price the reply.
 

@@ -82,7 +82,7 @@ class CostWindow:
     never interleaves between the two.
     """
 
-    def __init__(self, capacity: int = 1000):
+    def __init__(self, capacity: int = RewardConfig.window_capacity):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

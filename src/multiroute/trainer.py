@@ -42,12 +42,30 @@ class PolicyParams:
 
     ``actions`` lists pool model ids in pool order followed by the answer
     action; ``weights`` has one column per action.
+
+    Raises TypeError or ValueError unless the actions are strings, the
+    weights are finite with shape ``(feature_dim, len(actions))`` and the
+    temperature is positive and finite.
     """
 
     feature_dim: int
     actions: tuple[str, ...]
     weights: np.ndarray
     temperature: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if not all(isinstance(action, str) for action in self.actions):
+            raise TypeError("actions must be strings")
+        shape = (self.feature_dim, len(self.actions))
+        if self.weights.shape != shape:
+            raise ValueError(
+                f"weights must have shape {shape}, got {self.weights.shape}"
+            )
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
 
     @classmethod
     def initial(
@@ -76,12 +94,11 @@ class PolicyParams:
     @classmethod
     def from_json(cls, text: str) -> "PolicyParams":
         data = json.loads(text)
-        weights = np.asarray(data["weights"], dtype=float)
         return cls(
-            feature_dim=int(data["feature_dim"]),
+            feature_dim=data["feature_dim"],
             actions=tuple(data["actions"]),
-            weights=weights,
-            temperature=float(data["temperature"]),
+            weights=np.asarray(data["weights"], dtype=float),
+            temperature=data["temperature"],
         )
 
 
@@ -115,7 +132,10 @@ class TrainConfig:
 
 
 def featurize(
-    question: str, step_index: int, feature_dim: int, max_steps: int = 4
+    question: str,
+    step_index: int,
+    feature_dim: int,
+    max_steps: int = EngineConfig.max_routing_steps,
 ) -> np.ndarray:
     """Hashed bag-of-words over the question plus a round one-hot.
 
@@ -202,7 +222,7 @@ class LearnedRoutingPolicy(PolicyBackend):
         pool: RoutingPool,
         rng: np.random.Generator,
         lexicon: TagLexicon,
-        max_steps: int = 4,
+        max_steps: int = EngineConfig.max_routing_steps,
     ):
         self.params = params
         self.question = question
@@ -211,7 +231,6 @@ class LearnedRoutingPolicy(PolicyBackend):
         self.lexicon = lexicon
         self.max_steps = max_steps
         self.decisions: list[DecisionStep] = []
-        self._round = 0
         self._prev_context_len: Optional[int] = None
         self._facts: list[str] = []
         # The question's word counts, hashed on the first decision.
@@ -233,10 +252,11 @@ class LearnedRoutingPolicy(PolicyBackend):
             self._words = _word_counts(
                 self.question, self.params.feature_dim, self.max_steps
             )
-        features = _set_round(self._words.copy(), self._round, self.max_steps)
+        features = _set_round(
+            self._words.copy(), len(self.decisions), self.max_steps
+        )
         index, probs = sample_action(self.params, features, self.rng)
         self.decisions.append(DecisionStep(features, index, probs))
-        self._round += 1
         if self.params.actions[index] == ANSWER_ACTION:
             return self._emit_answer()
         model = self.pool.get(self.params.actions[index])

@@ -671,6 +671,36 @@ def _eval_into(tasks, out=None):
     return argv
 
 
+def _with_params(seed=0, question=FILM_Q, **values):
+    """argv for `route` over a params policy whose file holds zero weights
+    for the route pool, after ``values`` replace some of its fields."""
+    params = {
+        "feature_dim": 64,
+        "actions": ["llama-3.1-70b-instruct", "llama-3.1-8b-instruct", "answer"],
+        "weights": [[0.0] * 3] * 64,
+        "temperature": 1.0,
+        **values,
+    }
+
+    def build(workdir):
+        (workdir / "params.json").write_text(json.dumps(params))
+        argv = _top_level(policy={"kind": "params", "path": "params.json"})
+        # A repeated --question overrides the one ``_route_with`` gives.
+        return argv(workdir) + ["--seed", str(seed), "--question", question]
+
+    return build
+
+
+def _with_task_row(row):
+    """argv for `eval` over a task file holding ``row`` alone."""
+
+    def build(workdir):
+        (workdir / "row.jsonl").write_text(json.dumps(row) + "\n")
+        return _eval_into("row.jsonl")(workdir)
+
+    return build
+
+
 BAD_INPUTS = [
     # run-config values
     pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
@@ -868,6 +898,51 @@ BAD_INPUTS = [
         "pool model #0",
         id="http-backend-model-empty",
     ),
+    # params files the policy could not run
+    pytest.param(
+        _with_params(weights=[[0.0] * 3] * 32),
+        "params policy {dir}/params.json",
+        id="params-weights-too-few-rows",
+    ),
+    pytest.param(
+        _with_params(actions=["zz", "llama-3.1-8b-instruct", "answer"], seed=2),
+        "params policy {dir}/params.json",
+        id="params-action-not-in-pool-seed-2",
+    ),
+    pytest.param(
+        _with_params(actions=["zz", "llama-3.1-8b-instruct", "answer"], seed=3),
+        "params policy {dir}/params.json",
+        id="params-action-not-in-pool-seed-3",
+    ),
+    pytest.param(
+        _with_params(actions=[5, "llama-3.1-8b-instruct", "answer"]),
+        "params policy {dir}/params.json",
+        id="params-action-not-string",
+    ),
+    pytest.param(
+        _with_params(temperature=0),
+        "params policy {dir}/params.json",
+        id="params-temperature-zero",
+    ),
+    pytest.param(
+        _with_params(weights=[[float("nan")] * 3] * 64),
+        "params policy {dir}/params.json",
+        id="params-weights-nan",
+    ),
+    pytest.param(
+        _with_params(feature_dim=5, weights=[[0.0] * 3] * 5),
+        "params policy {dir}/params.json",
+        id="params-feature-dim-too-small",
+    ),
+    # a question holding a lone surrogate, which no backend can encode
+    pytest.param(
+        _with_params(question="\udcff?"), "route", id="question-lone-surrogate"
+    ),
+    pytest.param(
+        _with_task_row({"id": "s", "question": "\ud800?", "golden_answers": ["x"]}),
+        "line 1",
+        id="task-question-lone-surrogate",
+    ),
 ]
 
 
@@ -934,3 +1009,36 @@ def test_serve_hands_flag_overrides_to_the_server(workdir, monkeypatch):
     assert main(argv + ["--alpha", "0.0", "--seed", "7"]) == 0
     assert main(argv) == 0
     assert [(run.reward.alpha, run.seed) for run in served] == [(0.0, 7), (0.9, 0)]
+
+
+# ---------------------------------------------------------------------------
+# a policy endpoint that fails: one error line and exit 1
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda config, workdir: ["route", "--config", config, "--question", FILM_Q],
+        lambda config, workdir: [
+            "eval", "--config", config, "--tasks", str(workdir / "tasks.jsonl")
+        ],
+    ],
+    ids=["route", "eval"],
+)
+def test_policy_endpoint_failure_exits_1_with_one_error_line(
+    workdir, capsys, monkeypatch, argv
+):
+    monkeypatch.delenv("MULTIROUTE_POLICY_URL", raising=False)
+    path = workdir / "http_policy.json"
+    path.write_text(
+        json.dumps({"pool": _pool_mapping(), "policy": {"kind": "http", "model": "p"}})
+    )
+    code = main(argv(str(path), workdir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: policy: backend returned status 0: "
+        "environment variable MULTIROUTE_POLICY_URL is not set\n"
+    )

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from multiroute.engine import reconstruct_cost
 from multiroute.protocol import (
     DEFAULT_LEXICON,
     Block,
@@ -316,3 +317,67 @@ def test_lexicon_rejects_empty_lexeme():
 def test_block_dataclass_defaults():
     block = Block(BlockKind.THINK, "x", (0, 10))
     assert block.model_name == "" and block.sub_query == ""
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: tag soup raises only the documented errors
+# ---------------------------------------------------------------------------
+
+RETHEMED = TagLexicon(
+    think_open="[plan]",
+    think_close="[/plan]",
+    route_open="[ask]",
+    route_close="[/ask]",
+    info_open="[got]",
+    info_close="[/got]",
+    answer_open="[final]",
+    answer_close="[/final]",
+    info_aliases=(("[note]", "[/note]"),),
+)
+
+
+def _tag_soup(rng: random.Random, lexicon: TagLexicon, pool) -> str:
+    """Whole blocks mixed with stray lexemes, broken tags and route text."""
+    pairs = [(opener, closer) for opener, closer, _ in lexicon.open_close_pairs()]
+    fillers = [
+        *(f"{d.display_name}: q?" for d in pool),
+        "Nobody: q?",
+        ":",
+        "Routing error: x",
+        "No assistance available",
+        "<", ">", "[", "]", "/",
+        pairs[0][0][:-1],
+        " ", "\n", "word", "\u00e9", "\ud800",
+    ]
+    parts = []
+    for _ in range(rng.randrange(12)):
+        opener, closer = rng.choice(pairs)
+        roll = rng.random()
+        if roll < 0.6:
+            parts.append(f"{opener}{rng.choice(fillers)}{closer}")
+        elif roll < 0.8:
+            parts.append(rng.choice((opener, closer)))
+        else:
+            parts.append(rng.choice(fillers))
+    return "".join(parts)
+
+
+@pytest.mark.parametrize(
+    "lexicon", [DEFAULT_LEXICON, RETHEMED], ids=["default", "rethemed"]
+)
+def test_tag_soup_raises_only_documented_errors(case_pool, lexicon):
+    rng = random.Random(13)
+    for _ in range(3000):
+        raw = _tag_soup(rng, lexicon, case_pool)
+        try:
+            trajectory = parse_trajectory(raw, lexicon)
+        except ParseFailure:
+            trajectory = None
+        else:
+            assert trajectory.reconstruct() == raw
+            extract_answer(trajectory)
+            loss_mask(trajectory)
+            reconstruct_cost(trajectory, case_pool)
+        verdict = validate_format(raw, lexicon, case_pool)
+        assert verdict.ok == (not verdict.violations), raw
+        assert (verdict.trajectory is None) == (trajectory is None), raw

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 import socket
 import threading
 
+import numpy as np
 import pytest
 import requests
 
@@ -13,6 +15,7 @@ from multiroute import serve
 from multiroute.config import load_run_config
 from multiroute.rewards import normalize_answer
 from multiroute.serve import MAX_BODY_BYTES, POLL_INTERVAL_S, build_server
+from multiroute.trainer import PolicyParams
 
 FILM_Q = (
     "Which film was released more recently, Sacred Silence or "
@@ -135,6 +138,7 @@ def test_scored_requests_share_the_cost_window(server):
         {"question": "q?", "golds": []},
         {"question": "q?", "golds": [1, 2]},
         {"question": "q?", "golds": "not a list"},
+        {"question": "\ud800 where?"},
     ],
 )
 def test_invalid_route_payloads_are_400(server, payload):
@@ -254,3 +258,69 @@ def test_body_shorter_than_its_content_length_times_out(server, monkeypatch):
     assert status_line.split()[1] == b"408"
     response = requests.get(f"{server.base_url}/health", timeout=5)
     assert response.status_code == 200
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: random bodies never reach a 5xx
+# ---------------------------------------------------------------------------
+
+FUZZ_TEXTS = ("", " ", "q?", FILM_Q, "\ud800", "a\udcff b", "\x00", "\u00e9t\u00e9")
+
+
+def _fuzz_value(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth > 3 or roll < 0.4:
+        return rng.choice(
+            [*FUZZ_TEXTS, 0, -1, 2.5, float("nan"), float("inf"), True, None]
+        )
+    if roll < 0.7:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    return {
+        rng.choice(["question", "golds", "id", "x"]): _fuzz_value(rng, depth + 1)
+        for _ in range(rng.randrange(3))
+    }
+
+
+def _fuzz_body(rng: random.Random) -> bytes:
+    roll = rng.random()
+    if roll < 0.1:
+        depth = rng.choice([10, 1000, 100_000])
+        return b'{"question": ' + b"[" * depth + b"]" * rng.randrange(2) * depth + b"}"
+    if roll < 0.2:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+    body = {"question": rng.choice(FUZZ_TEXTS)} if roll < 0.7 else {}
+    for key in ("question", "golds", "id"):
+        if rng.random() < 0.3:
+            body[key] = _fuzz_value(rng, 1)
+    text = json.dumps(body, ensure_ascii=rng.random() < 0.5)
+    # A lone surrogate left unescaped goes out as its raw UTF-8 bytes.
+    return text.encode("utf-8", "surrogatepass")
+
+
+def test_fuzzed_route_bodies_get_200_or_4xx(tmp_path):
+    models = ["llama-3.1-70b-instruct", "mistral-7b-instruct"]
+    params = PolicyParams(16, (*models, "answer"), np.zeros((16, 3)))
+    (tmp_path / "params.json").write_text(params.to_json())
+    run = _run_config(tmp_path, policy={"kind": "params", "path": "params.json"})
+    instance = build_server(run, "127.0.0.1", 0)
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
+    thread.start()
+    rng = random.Random(5)
+    statuses = set()
+    try:
+        for _ in range(300):
+            body = _fuzz_body(rng)
+            response = requests.post(
+                f"http://127.0.0.1:{instance.server_port}/route", data=body, timeout=10
+            )
+            assert response.status_code == 200 or 400 <= response.status_code < 500, (
+                body[:200],
+                response.text[:200],
+            )
+            statuses.add(response.status_code)
+    finally:
+        instance.shutdown()
+        instance.server_close()
+    assert statuses == {200, 400}
