@@ -102,7 +102,9 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
         cost_reward(window, cost, run.reward)
     lexicon = run.engine.lexicon
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        # As in ``load_tasks``: a byte that is not UTF-8 reads as a lone
+        # surrogate, which ``encode`` then finds.
+        with open(args.file, encoding="utf-8", errors="surrogateescape") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {args.file}: {exc}")
@@ -111,6 +113,10 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
         if not line:
             continue
         where = f"{args.file}:{line_no}"
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise CliError(f"{where}: not UTF-8 text") from None
         try:
             row = json.loads(line)
             raw = row["raw"]

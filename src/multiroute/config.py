@@ -23,7 +23,7 @@ from .pool import (
     SimulatedProfile,
     load_knowledge_base,
 )
-from .protocol import DEFAULT_LEXICON, TagLexicon
+from .protocol import DEFAULT_LEXICON, BlockKind, TagLexicon
 from .rewards import RewardConfig, check_field_types, normalize_answer
 from .trainer import TrainConfig
 
@@ -82,7 +82,7 @@ def read_json(path: str, what: str):
             return json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: invalid JSON: {exc}")
 
 
@@ -112,7 +112,7 @@ def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
 def _lexicon_from(section) -> TagLexicon:
     _object(section, "lexicon")
     fields = {}
-    for kind in ("think", "route", "info", "answer"):
+    for kind in (k.value for k in BlockKind):
         if kind in section:
             value = section[kind]
             if not (isinstance(value, list) and len(value) == 2):

@@ -171,16 +171,7 @@ def build_prompt(
         f"{d.display_name}: {d.descriptor_text}" for d in pool
     )
     return PROMPT_TEMPLATE.format(
-        think_open=lexicon.think_open,
-        think_close=lexicon.think_close,
-        route_open=lexicon.route_open,
-        route_close=lexicon.route_close,
-        info_open=lexicon.info_open,
-        info_close=lexicon.info_close,
-        answer_open=lexicon.answer_open,
-        answer_close=lexicon.answer_close,
-        candidates_intro="\n" + candidates,
-        question=question,
+        **vars(lexicon), candidates_intro="\n" + candidates, question=question
     )
 
 

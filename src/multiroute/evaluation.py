@@ -60,17 +60,23 @@ def load_tasks(path: str) -> list[TaskRecord]:
     """Load a JSONL task file of {"id", "question", "golden_answers"} rows.
 
     Raises:
-        TaskFileError: malformed JSON or missing/invalid fields, with the
-            offending line number.
+        TaskFileError: a line that is not UTF-8, malformed JSON or
+            missing/invalid fields, with the offending line number.
         DuplicateTaskIdError: repeated task id.
     """
     tasks: list[TaskRecord] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a lone surrogate, which text decoded
+    # as UTF-8 never holds, so ``encode`` finds the line it is on.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise TaskFileError(line_no, "not UTF-8 text") from None
             try:
                 row = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:
@@ -110,27 +116,11 @@ class MetricsSummary:
     per_model_calls: dict[str, int] = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "em_mean": self.em_mean,
-            "f1_mean": self.f1_mean,
-            "avg_api_calls": self.avg_api_calls,
-            "avg_cost_raw": self.avg_cost_raw,
-            "per_model_calls": dict(self.per_model_calls),
-        }
+        return {**vars(self), "per_model_calls": dict(self.per_model_calls)}
 
     @classmethod
     def from_record(cls, record: dict) -> "MetricsSummary":
-        return cls(
-            n=int(record["n"]),
-            em_mean=float(record["em_mean"]),
-            f1_mean=float(record["f1_mean"]),
-            avg_api_calls=float(record["avg_api_calls"]),
-            avg_cost_raw=float(record["avg_cost_raw"]),
-            per_model_calls={
-                k: int(v) for k, v in record["per_model_calls"].items()
-            },
-        )
+        return cls(**record)
 
 
 def evaluate(

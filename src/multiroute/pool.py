@@ -220,8 +220,9 @@ class ChatEndpoint:
         finish_reason).
 
         Retries once on timeout, connection failure, or 5xx, then raises
-        BackendTimeout / BackendError; an unset URL, a non-200 reply or a
-        malformed 200 body raises BackendError.
+        BackendTimeout / BackendError; an unset URL, any other request error
+        (such as a URL with no scheme), a non-200 reply or a malformed 200
+        body raises BackendError at once.
         """
         url = os.environ.get(self.url_env)
         if not url:
@@ -249,6 +250,8 @@ class ChatEndpoint:
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_exc = exc
                 continue
+            except requests.RequestException as exc:
+                raise BackendError(0, str(exc)) from None
             if response.status_code >= 500:
                 last_status = response.status_code
                 continue
@@ -362,15 +365,7 @@ class CallRecord:
     error: Optional[str] = None
 
     def to_record(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "sub_query": self.sub_query,
-            "response_text": self.response_text,
-            "output_tokens": self.output_tokens,
-            "cost": self.cost,
-            "latency_ms": self.latency_ms,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
 
 def render_assist_prompt(sub_query: str) -> str:

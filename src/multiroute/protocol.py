@@ -50,9 +50,7 @@ class TagLexicon:
         if any(isinstance(p, str) or len(p) != 2 for p in self.info_aliases):
             raise ValueError("info_aliases must be (open, close) pairs")
         object.__setattr__(self, "info_aliases", aliases)
-        lexemes = list(self.primary_pairs_flat()) + [
-            lex for pair in self.info_aliases for lex in pair
-        ]
+        lexemes = [lex for o, c, _ in self.open_close_pairs() for lex in (o, c)]
         if any(not isinstance(lex, str) or not lex for lex in lexemes):
             raise ValueError("tag lexemes must be nonempty strings")
         if len(set(lexemes)) != len(lexemes):
@@ -66,27 +64,20 @@ class TagLexicon:
                     )
 
     def primary_pairs_flat(self) -> tuple[str, ...]:
-        return (
-            self.think_open,
-            self.think_close,
-            self.route_open,
-            self.route_close,
-            self.info_open,
-            self.info_close,
-            self.answer_open,
-            self.answer_close,
-        )
+        """The primary lexemes, each open before its close, in kind order."""
+        primary = self.open_close_pairs()[: len(BlockKind)]
+        return tuple(lex for o, c, _ in primary for lex in (o, c))
 
     def open_close_pairs(self) -> tuple[tuple[str, str, BlockKind], ...]:
-        """All accepted (open, close, kind) triples, aliases included."""
-        pairs = [
+        """All accepted (open, close, kind) triples, one primary pair per kind
+        in ``BlockKind`` order, then the info aliases: the one lexeme list."""
+        return (
             (self.think_open, self.think_close, BlockKind.THINK),
             (self.route_open, self.route_close, BlockKind.ROUTE),
             (self.info_open, self.info_close, BlockKind.INFO),
             (self.answer_open, self.answer_close, BlockKind.ANSWER),
-        ]
-        pairs.extend((o, c, BlockKind.INFO) for o, c in self.info_aliases)
-        return tuple(pairs)
+            *[(o, c, BlockKind.INFO) for o, c in self.info_aliases],
+        )
 
 
 DEFAULT_LEXICON = TagLexicon()
@@ -168,7 +159,7 @@ class Violation:
     offset: int | None = None
 
     def to_record(self) -> dict:
-        return {"rule": self.rule.value, "message": self.message, "offset": self.offset}
+        return {**vars(self), "rule": self.rule.value}
 
 
 @dataclass

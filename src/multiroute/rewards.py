@@ -253,14 +253,7 @@ class RewardBreakdown:
     total: float
 
     def to_record(self) -> dict:
-        return {
-            "format": self.format,
-            "outcome": self.outcome,
-            "cost_raw": self.cost_raw,
-            "cost_norm": self.cost_norm,
-            "alpha": self.alpha,
-            "total": self.total,
-        }
+        return dict(vars(self))
 
 
 def compose_breakdown(

@@ -29,7 +29,7 @@ from .engine import (
     run_episode,
 )
 from .pool import RoutingPool
-from .protocol import TagLexicon
+from .protocol import BlockKind, TagLexicon
 from .rewards import CostWindow, RewardConfig, check_field_types, cost_reward
 
 ANSWER_ACTION = "answer"
@@ -83,9 +83,8 @@ class PolicyParams:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "feature_dim": self.feature_dim,
+                **vars(self),
                 "actions": list(self.actions),
-                "temperature": self.temperature,
                 "weights": self.weights.tolist(),
             },
             sort_keys=True,
@@ -278,9 +277,9 @@ class LearnedRoutingPolicy(PolicyBackend):
         # Every helpful reply's first line is kept, duplicates included: the
         # answer is a faithful join of what was gathered, so redundant calls
         # degrade it and exact match itself penalizes over-routing.
-        lex = self.lexicon
-        pairs = [(lex.info_open, lex.info_close)] + list(lex.info_aliases)
-        for opener, closer in pairs:
+        for opener, closer, kind in self.lexicon.open_close_pairs():
+            if kind is not BlockKind.INFO:
+                continue
             cursor = 0
             while True:
                 start = delta.find(opener, cursor)

@@ -701,6 +701,19 @@ def _with_task_row(row):
     return build
 
 
+def _with_bytes(name, data, argv):
+    """``argv`` after writing the bytes ``data`` to ``name`` in the workdir."""
+
+    def build(workdir):
+        (workdir / name).write_bytes(data)
+        return argv(workdir)
+
+    return build
+
+
+# A task row whose question is Latin-1 text: its e-acute is not UTF-8.
+LATIN1_ROW = b'{"id": "b", "question": "caf\xe9?", "golden_answers": ["x"]}\n'
+
 BAD_INPUTS = [
     # run-config values
     pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
@@ -943,6 +956,42 @@ BAD_INPUTS = [
         "line 1",
         id="task-question-lone-surrogate",
     ),
+    # files holding a byte that is not UTF-8
+    pytest.param(
+        _with_bytes(
+            "latin1.json",
+            b'{"pool": {"models": []}, "seed": "\xff"}',
+            lambda workdir: [
+                "route", "--config", str(workdir / "latin1.json"), "--question", FILM_Q
+            ],
+        ),
+        "config file {dir}/latin1.json",
+        id="config-not-utf8",
+    ),
+    pytest.param(
+        _with_bytes(
+            "latin1.jsonl",
+            json.dumps({"id": "a", "question": "q?", "golden_answers": ["x"]}).encode()
+            + b"\n"
+            + LATIN1_ROW,
+            _eval_into("latin1.jsonl"),
+        ),
+        "line 2",
+        id="tasks-not-utf8",
+    ),
+    pytest.param(
+        _with_bytes(
+            "latin1.jsonl",
+            b'{"raw": "<answer>caf\xe9</answer>"}\n',
+            lambda workdir: [
+                "reward-check",
+                "--config", str(workdir / "eval.json"),
+                "--file", str(workdir / "latin1.jsonl"),
+            ],
+        ),
+        "{dir}/latin1.jsonl:1",
+        id="reward-check-file-not-utf8",
+    ),
 ]
 
 
@@ -1041,4 +1090,32 @@ def test_policy_endpoint_failure_exits_1_with_one_error_line(
     assert captured.err == (
         "error: policy: backend returned status 0: "
         "environment variable MULTIROUTE_POLICY_URL is not set\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda config, workdir: ["route", "--config", config, "--question", FILM_Q],
+        lambda config, workdir: [
+            "eval", "--config", config, "--tasks", str(workdir / "tasks.jsonl")
+        ],
+    ],
+    ids=["route", "eval"],
+)
+def test_unusable_policy_url_exits_1_with_one_error_line(
+    workdir, capsys, monkeypatch, argv
+):
+    monkeypatch.setenv("MULTIROUTE_POLICY_URL", "not-a-url")
+    path = workdir / "http_policy.json"
+    path.write_text(
+        json.dumps({"pool": _pool_mapping(), "policy": {"kind": "http", "model": "p"}})
+    )
+    code = main(argv(str(path), workdir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "error: policy: backend returned status 0: Invalid URL 'not-a-url'"
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -538,3 +539,83 @@ def test_malformed_http_reply_does_not_escape_the_episode(monkeypatch, step, err
         assert call.output_tokens == 0
         assert call.cost == 0.0
         assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
+
+
+# ---------------------------------------------------------------------------
+# byte pins: prompts and episode records stay byte-identical
+# ---------------------------------------------------------------------------
+
+RETHEMED_LEXICON = TagLexicon(
+    think_open="[plan]",
+    think_close="[/plan]",
+    route_open="[ask]",
+    route_close="[/ask]",
+    info_open="[got]",
+    info_close="[/got]",
+    answer_open="[final]",
+    answer_close="[/final]",
+    info_aliases=(("[note]", "[/note]"),),
+)
+
+# sha256 of build_prompt(QUESTION, case_pool, lexicon) for each lexicon.
+GOLDEN_PROMPT_SHA256 = {
+    "default": "fd4ef631c13df33e0096e8f3935a12d00da64fb2014243af45668da6f6bd4ecb",
+    "rethemed": "36c59f59359bd73a60963e702f2fe8588e2989d397a178f5f9426c0218b10389",
+}
+
+
+@pytest.mark.parametrize(
+    "name, lexicon",
+    [("default", DEFAULT_LEXICON), ("rethemed", RETHEMED_LEXICON)],
+    ids=["default", "rethemed"],
+)
+def test_build_prompt_bytes_match_golden_hash(case_pool, name, lexicon):
+    prompt = build_prompt(QUESTION, case_pool, lexicon)
+    assert hashlib.sha256(prompt.encode()).hexdigest() == GOLDEN_PROMPT_SHA256[name]
+
+
+# sha256 of the sorted-key JSON record of a scored episode with one completed
+# call, one backend failure and one bad directive (a format violation).
+GOLDEN_EPISODE_SHA256 = "d4ef3a889c970806b581164ce999c9d627914a6e70d5df316e6273b48262d5f8"
+
+
+def test_episode_record_bytes_match_golden_hash(case_pool):
+    case_pool.register(
+        ModelDescriptor("flaky", "Flaky-9B", 9, 0.4, "d", _FailingBackend())
+    )
+    policy = ScriptedPolicy(
+        [
+            "<think>ask</think>"
+            f"<search>LLaMA-3.1-70B-Instruct: {QUESTION}</search>",
+            "<think>again</think><search>Flaky-9B: anything?</search>",
+            "<think>once more</think><search>GPT-9000: who?</search>",
+            "<think>done</think><answer>Ek Haseena Thi Ek Deewana Tha</answer>",
+        ]
+    )
+    episode = run_episode(
+        QUESTION, GOLDS, policy, case_pool, _window(), EngineConfig(), RewardConfig(0.4)
+    )
+    assert [call.error is None for call in episode.calls] == [True, False, False]
+    assert FormatRule.ROUTE_DIRECTIVE in episode.verdict.violated_rules
+    blob = json.dumps(episode.to_record(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_EPISODE_SHA256
+
+
+def test_unusable_endpoint_url_becomes_zero_cost_error_call(monkeypatch):
+    monkeypatch.setenv("MULTIROUTE_API_URL", "not-a-url")
+    pool = RoutingPool(
+        [ModelDescriptor("r", "Remote-70B", 70, 2.0, "remote", HttpBackend("r"))]
+    )
+    policy = ScriptedPolicy(
+        [
+            "<think>t</think><search>Remote-70B: anything?</search>",
+            "<think>t</think><answer>unknown</answer>",
+        ]
+    )
+    episode = run_episode("Q?", ["x"], policy, pool, _window())
+    (call,) = episode.calls
+    assert call.model_id == "r"
+    assert "Invalid URL 'not-a-url'" in call.error
+    assert call.output_tokens == 0 and call.cost == 0.0
+    assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
+    assert episode.verdict.ok

@@ -284,3 +284,14 @@ def test_write_episode_log(tmp_path, case_pool):
     assert first["question"].startswith("Which film was released")
     assert first["rewards"]["outcome"] == 1.0
     assert first["route_count"] == 1
+
+
+def test_summary_record_copies_calls_and_takes_exactly_its_fields():
+    summary = _summary()
+    record = summary.to_record()
+    record["per_model_calls"]["m1"] += 1
+    assert summary.per_model_calls["m1"] == 4
+    missing = {key: value for key, value in record.items() if key != "n"}
+    for bad in (missing, {**record, "extra": 1}):
+        with pytest.raises(TypeError):
+            MetricsSummary.from_record(bad)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from http_stub import chat_body, start_scripted_server, stop_server
 
@@ -390,3 +391,36 @@ def test_constructors_coerce_numbers_as_config_files_do():
     assert type(descriptor.cost_per_token) is float
     assert type(HttpBackend(model="remote", temperature=0).temperature) is float
 
+
+# URLs that ``requests`` rejects before it opens a connection.
+UNUSABLE_URLS = [
+    pytest.param("not-a-url", "No scheme supplied", id="no-scheme"),
+    pytest.param("ftp://127.0.0.1/", "No connection adapters", id="ftp-scheme"),
+    pytest.param("http://", "No host supplied", id="no-host"),
+]
+
+
+@pytest.mark.parametrize("url, detail", UNUSABLE_URLS)
+def test_http_backend_unusable_url_is_a_status_0_backend_error(
+    monkeypatch, url, detail
+):
+    monkeypatch.setenv("MULTIROUTE_API_URL", url)
+    with pytest.raises(BackendError) as exc_info:
+        HttpBackend(model="remote").complete("p", 600)
+    assert exc_info.value.status == 0
+    assert detail in str(exc_info.value)
+
+
+def test_http_backend_other_request_error_is_not_retried(monkeypatch):
+    posts = []
+
+    def post(url, **kwargs):
+        posts.append(url)
+        raise requests.TooManyRedirects("redirect loop")
+
+    monkeypatch.setenv("MULTIROUTE_API_URL", "http://127.0.0.1:9/")
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(BackendError, match="redirect loop") as exc_info:
+        HttpBackend(model="remote").complete("p", 600)
+    assert exc_info.value.status == 0
+    assert posts == ["http://127.0.0.1:9/"]

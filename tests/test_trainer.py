@@ -723,3 +723,17 @@ def test_end_to_end_forced_two_hop():
     assert episode.final_answer == task.golds[0]
     assert episode.rewards.outcome == 1.0
     assert episode.rewards.cost_raw == pytest.approx(2.0 * 48 + 0.05 * 40)
+
+
+def test_params_json_bytes_are_pinned():
+    params = PolicyParams(
+        feature_dim=2,
+        actions=("m1", "m2", ANSWER_ACTION),
+        weights=np.array([[0.0, -1.5, 2.0], [0.25, 3.0, -0.125]]),
+        temperature=0.7,
+    )
+    assert params.to_json() == (
+        '{"actions": ["m1", "m2", "answer"], "feature_dim": 2, '
+        '"temperature": 0.7, '
+        '"weights": [[0.0, -1.5, 2.0], [0.25, 3.0, -0.125]]}'
+    )
