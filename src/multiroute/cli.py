@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import reprlib
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
 from .engine import reconstruct_cost, score_episode
 from .evaluation import (
-    TaskFileError,
     TaskRecord,
     evaluate,
     is_gold_list,
@@ -25,11 +26,17 @@ from .evaluation import (
     write_episode_log,
 )
 from .policies import policy_factory
-from .pool import BackendError, BackendTimeout
+from .pool import BackendError, BackendTimeout, LineError, read_jsonl
 from .protocol import extract_answer, validate_format
 from .rewards import CostWindow, cost_reward
-from .serve import Router, serve_forever
-from .trainer import train
+from .serve import (
+    DEFAULT_HOST,
+    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_PORT,
+    Router,
+    serve_forever,
+)
+from .trainer import check_feature_dim, train
 
 
 class CliError(Exception):
@@ -67,6 +74,10 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
+    try:
+        check_feature_dim(run.trainer.feature_dim, run.engine.max_routing_steps)
+    except ValueError as exc:
+        raise CliError(f"trainer: {exc}") from None
     tasks = load_tasks(args.tasks)
     result = train(
         tasks,
@@ -100,57 +111,52 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
     window = CostWindow(run.reward.window_capacity)
     for cost in run.eval_warmup_costs:
         cost_reward(window, cost, run.reward)
-    lexicon = run.engine.lexicon
+    records = []
     try:
-        # As in ``load_tasks``: a byte that is not UTF-8 reads as a lone
-        # surrogate, which ``encode`` then finds.
-        with open(args.file, encoding="utf-8", errors="surrogateescape") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.file}: {exc}")
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        where = f"{args.file}:{line_no}"
-        try:
-            line.encode()
-        except UnicodeEncodeError:
-            raise CliError(f"{where}: not UTF-8 text") from None
-        try:
-            row = json.loads(line)
-            raw = row["raw"]
-        except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-            raise CliError(f"{where}: bad trajectory row: {exc}")
-        if not isinstance(raw, str):
-            raise CliError(f"{where}: raw must be a string")
-        golds = row.get("golden_answers")
-        if golds is not None and not is_gold_list(golds):
-            raise CliError(f"{where}: golden_answers must be a nonempty string list")
-        verdict = validate_format(raw, lexicon, run.pool)
-        trajectory = verdict.trajectory
-        breakdown = score_episode(
-            verdict,
-            extract_answer(trajectory) if trajectory else None,
-            golds,
-            reconstruct_cost(trajectory, run.pool) if trajectory else 0.0,
-            window,
-            run.reward,
-        )
-        record = {
-            "id": row.get("id", line_no),
-            "ok": verdict.ok,
-            "violations": [v.to_record() for v in verdict.violations],
-        }
-        record.update(breakdown.to_record())
-        print(json.dumps(record, sort_keys=True))
+        for line_no, row in read_jsonl(args.file):
+            try:
+                raw = row["raw"]
+            except (KeyError, TypeError) as exc:
+                raise LineError(line_no, f"bad trajectory row: {exc}") from None
+            if not isinstance(raw, str):
+                raise LineError(line_no, "raw must be a string")
+            golds = row.get("golden_answers")
+            if golds is not None and not is_gold_list(golds):
+                detail = "golden_answers must be a nonempty string list"
+                raise LineError(line_no, detail)
+            verdict = validate_format(raw, run.engine.lexicon, run.pool)
+            trajectory = verdict.trajectory
+            cost = reconstruct_cost(trajectory, run.pool) if trajectory else 0.0
+            if not math.isfinite(cost):
+                raise LineError(line_no, "re-priced cost is not finite")
+            breakdown = score_episode(
+                verdict,
+                extract_answer(trajectory) if trajectory else None,
+                golds,
+                cost,
+                window,
+                run.reward,
+            )
+            record = {
+                "id": row.get("id", line_no),
+                "ok": verdict.ok,
+                "violations": [v.to_record() for v in verdict.violations],
+                **breakdown.to_record(),
+            }
+            records.append(json.dumps(record, sort_keys=True) + "\n")
+    except LineError as exc:
+        raise CliError(f"{args.file}:{exc.line_no}: {exc.detail}") from None
+    # Printed once every row has scored, so a bad row leaves stdout empty.
+    sys.stdout.write("".join(records))
     return 0
 
 
 def cmd_serve(args: argparse.Namespace, run: RunConfig) -> int:
     host, _, port = args.bind.rpartition(":")
     if not host or not port.isdigit():
-        raise CliError(f"--bind must be host:port, got {args.bind!r}")
+        raise CliError(f"--bind must be host:port, got {reprlib.repr(args.bind)}")
+    if args.max_inflight < 0:
+        raise CliError(f"serve: --max-inflight must be >= 0, got {args.max_inflight}")
     serve_forever(run, host, int(port), max_inflight=args.max_inflight)
     return 0
 
@@ -213,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="serve routing over HTTP")
     add_common(p_serve)
-    p_serve.add_argument("--bind", default="127.0.0.1:8777")
-    p_serve.add_argument("--max-inflight", type=int, default=8)
+    p_serve.add_argument("--bind", default=f"{DEFAULT_HOST}:{DEFAULT_PORT}")
+    p_serve.add_argument("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT)
     override(p_serve, "--seed", "seed", int)
     p_serve.set_defaults(func=cmd_serve)
     return parser
@@ -230,7 +236,7 @@ def main(argv=None) -> int:
     except (BackendError, BackendTimeout) as exc:
         print(f"error: policy: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, TaskFileError, CliError) as exc:
+    except (ConfigError, LineError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:
         detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc

@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import EngineConfig
 from .pool import (
     HttpBackend,
+    LineError,
     ModelDescriptor,
     RoutingPool,
     SimulatedBackend,
@@ -60,7 +62,10 @@ def _build_backend(section, context: str, base_dir: str):
         kb_path = fields.pop("kb_path", None)
         if kb_path:
             try:
-                kb = load_knowledge_base(os.path.join(base_dir, kb_path))
+                kb_file = os.path.join(base_dir, kb_path)
+                kb = load_knowledge_base(kb_file)
+            except LineError as exc:
+                raise ConfigError(f"{context}: {kb_file}: {exc}") from None
             except (OSError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{context}: {exc}")
         else:
@@ -72,7 +77,7 @@ def _build_backend(section, context: str, base_dir: str):
         return SimulatedBackend(profile)
     if kind == "http":
         return build_section(HttpBackend, fields, context)
-    raise ConfigError(f"{context}: unknown backend type {kind!r}")
+    raise ConfigError(f"{context}: unknown backend type {reprlib.repr(kind)}")
 
 
 def read_json(path: str, what: str):
@@ -148,6 +153,15 @@ class RunConfig:
         ):
             raise ValueError("eval_warmup_costs must be finite numbers >= 0")
         self.eval_warmup_costs = tuple(float(c) for c in costs)
+        # The largest bill an episode can run up must stay a finite float.
+        engine = self.engine
+        most_tokens = engine.max_api_response_tokens * engine.max_routing_steps
+        for i, model in enumerate(self.pool):
+            if not math.isfinite(model.cost_per_token * most_tokens):
+                raise ValueError(
+                    f"pool model #{i}: cost_per_token {model.cost_per_token} "
+                    f"overflows a bill of {most_tokens} tokens"
+                )
 
 
 def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:

@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .engine import EngineConfig, Episode, PolicyBackend, run_episode
-from .pool import RoutingPool
+from .pool import LineError as TaskFileError, RoutingPool, read_jsonl
 from .rewards import CostWindow, RewardConfig, cost_reward, exact_match, f1_score
-
-
-class TaskFileError(ValueError):
-    def __init__(self, line_no: int, detail: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {detail}")
 
 
 class DuplicateTaskIdError(TaskFileError):
@@ -64,46 +59,31 @@ def load_tasks(path: str) -> list[TaskRecord]:
             missing/invalid fields, with the offending line number.
         DuplicateTaskIdError: repeated task id.
     """
-    tasks: list[TaskRecord] = []
-    seen_ids: set[str] = set()
-    # A byte that is not UTF-8 reads as a lone surrogate, which text decoded
-    # as UTF-8 never holds, so ``encode`` finds the line it is on.
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                line.encode()
-            except UnicodeEncodeError:
-                raise TaskFileError(line_no, "not UTF-8 text") from None
-            try:
-                row = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise TaskFileError(line_no, f"invalid JSON: {exc}")
-            if not isinstance(row, dict):
-                raise TaskFileError(line_no, "row must be a JSON object")
-            try:
-                task_id = row["id"]
-                if isinstance(task_id, bool) or not isinstance(task_id, (str, int)):
-                    raise ValueError(
-                        f"id must be a string or an integer, got {task_id!r}"
-                    )
-                # A task row must carry golds: null fails like an empty list.
-                task = TaskRecord(
-                    id=str(task_id),
-                    question=row["question"],
-                    golds=row["golden_answers"] or [],
+    tasks: dict[str, TaskRecord] = {}
+    for line_no, row in read_jsonl(path):
+        if not isinstance(row, dict):
+            raise TaskFileError(line_no, "row must be a JSON object")
+        try:
+            task_id = row["id"]
+            if isinstance(task_id, bool) or not isinstance(task_id, (str, int)):
+                raise ValueError(
+                    f"id must be a string or an integer, got {reprlib.repr(task_id)}"
                 )
-            except KeyError as exc:
-                raise TaskFileError(line_no, f"missing field {exc}")
-            except ValueError as exc:
-                raise TaskFileError(line_no, str(exc))
-            if task.id in seen_ids:
-                raise DuplicateTaskIdError(line_no, f"duplicate task id {task.id!r}")
-            seen_ids.add(task.id)
-            tasks.append(task)
-    return tasks
+            # A task row must carry golds: null fails like an empty list.
+            task = TaskRecord(
+                id=str(task_id),
+                question=row["question"],
+                golds=row["golden_answers"] or [],
+            )
+        except KeyError as exc:
+            raise TaskFileError(line_no, f"missing field {exc}")
+        except ValueError as exc:
+            raise TaskFileError(line_no, str(exc))
+        if task.id in tasks:
+            detail = f"duplicate task id {reprlib.repr(task.id)}"
+            raise DuplicateTaskIdError(line_no, detail)
+        tasks[task.id] = task
+    return list(tasks.values())
 
 
 @dataclass

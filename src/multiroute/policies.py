@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +20,12 @@ from .config import ConfigError, RunConfig, build_section, read_json
 from .engine import PolicyBackend
 from .pool import ChatEndpoint
 from .protocol import DEFAULT_LEXICON, TagLexicon
-from .trainer import ANSWER_ACTION, LearnedRoutingPolicy, PolicyParams
+from .trainer import (
+    ANSWER_ACTION,
+    LearnedRoutingPolicy,
+    PolicyParams,
+    check_feature_dim,
+)
 
 
 class ScriptedPolicy(PolicyBackend):
@@ -137,7 +143,9 @@ def policy_factory(run: RunConfig):
             with open(path, encoding="utf-8") as f:
                 params = PolicyParams.from_json(f.read())
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"params policy {path}: bad params file: {exc!r}")
+            raise ConfigError(
+                f"params policy {path}: bad params file: {type(exc).__name__}: {exc}"
+            )
         unknown = [
             action
             for action in params.actions
@@ -147,12 +155,10 @@ def policy_factory(run: RunConfig):
             raise ConfigError(
                 f"params policy {path}: actions not in the pool: {unknown}"
             )
-        steps = run.engine.max_routing_steps
-        if params.feature_dim <= steps + 1:
-            raise ConfigError(
-                f"params policy {path}: feature_dim {params.feature_dim} leaves "
-                f"no word slots beside the round one-hot of {steps} steps"
-            )
+        try:
+            check_feature_dim(params.feature_dim, run.engine.max_routing_steps)
+        except ValueError as exc:
+            raise ConfigError(f"params policy {path}: {exc}") from None
 
         def factory(task):
             rng = np.random.default_rng(run.seed)
@@ -172,4 +178,4 @@ def policy_factory(run: RunConfig):
             HttpPolicy, fields, "http policy", lexicon=run.engine.lexicon
         )
         return lambda task: policy
-    raise ConfigError(f"unknown policy kind {kind!r}")
+    raise ConfigError(f"unknown policy kind {reprlib.repr(kind)}")

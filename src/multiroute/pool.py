@@ -420,23 +420,52 @@ def dispatch(
     )
 
 
-def load_knowledge_base(path: str) -> dict:
-    """Load a JSONL knowledge base of {"key": ..., "answer": ...} rows.
+class LineError(ValueError):
+    """A bad line of a JSONL file; ``line_no`` counts from 1."""
 
-    Keys are normalized the same way answers are compared, so lookups match
-    questions regardless of case, articles, or punctuation.
+    def __init__(self, line_no: int, detail: str):
+        self.line_no = line_no
+        self.detail = detail
+        super().__init__(f"line {line_no}: {detail}")
+
+
+def read_jsonl(path: str) -> list[tuple[int, object]]:
+    """Return ``(line_no, value)`` for each nonblank line of a JSONL file.
+
+    Raises:
+        OSError: the file cannot be read.
+        LineError: a line is not UTF-8 text or not JSON.
     """
-    entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    rows = []
+    # A byte that is not UTF-8 reads as a lone surrogate, which text decoded
+    # as UTF-8 never holds, so ``encode`` finds the line it is on.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = json.loads(line)
-                key = row["key"]
-                answer = row["answer"]
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad knowledge row: {exc}")
-            entries[normalize_answer(str(key))] = str(answer)
+                line.encode()
+                rows.append((line_no, json.loads(line)))
+            except UnicodeEncodeError:
+                raise LineError(line_no, "not UTF-8 text") from None
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise LineError(line_no, f"invalid JSON: {exc}") from None
+    return rows
+
+
+def load_knowledge_base(path: str) -> dict:
+    """Load a JSONL knowledge base of {"key": ..., "answer": ...} rows.
+
+    Keys are normalized the same way answers are compared, so lookups match
+    questions regardless of case, articles, or punctuation.  A bad line
+    raises ``LineError``.
+    """
+    entries: dict[str, str] = {}
+    for line_no, row in read_jsonl(path):
+        try:
+            key, answer = row["key"], row["answer"]
+        except (KeyError, TypeError) as exc:
+            raise LineError(line_no, f"bad knowledge row: {exc}") from None
+        entries[normalize_answer(str(key))] = str(answer)
     return entries

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -59,7 +60,8 @@ class TagLexicon:
             for b in lexemes:
                 if a != b and a in b:
                     raise ValueError(
-                        f"lexeme {a!r} is a substring of {b!r}; "
+                        f"lexeme {reprlib.repr(a)} is a substring of "
+                        f"{reprlib.repr(b)}; "
                         "scanning would be ambiguous"
                     )
 

@@ -12,6 +12,7 @@ import dataclasses
 import math
 import numbers
 import re
+import reprlib
 import string
 import threading
 from bisect import bisect_left, insort
@@ -44,7 +45,7 @@ def check_field_types(config) -> None:
         else:
             continue
         if not ok or isinstance(value, bool):
-            raise TypeError(f"{spec.name} must be {kind}, got {value!r}")
+            raise TypeError(f"{spec.name} must be {kind}, got {reprlib.repr(value)}")
         if spec.type in ("float", float):
             object.__setattr__(config, spec.name, float(value))
 

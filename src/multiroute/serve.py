@@ -22,6 +22,9 @@ from .evaluation import TaskRecord
 from .policies import policy_factory
 from .rewards import CostWindow, cost_reward
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8777
+DEFAULT_MAX_INFLIGHT = 8
 MAX_BODY_BYTES = 1 << 20
 # A socket read that waits longer fails, so a client that sends less than
 # its Content-Length cannot hold a handler thread.
@@ -64,9 +67,10 @@ class RoutingHTTPServer(ThreadingHTTPServer, Router):
     daemon_threads = True
 
     def __init__(self, address, run: RunConfig, max_inflight: int):
+        # Built first: a negative bound raises before the port is bound.
+        self.inflight = threading.Semaphore(max_inflight)
         Router.__init__(self, run)
         ThreadingHTTPServer.__init__(self, address, _Handler)
-        self.inflight = threading.Semaphore(max_inflight)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -135,13 +139,16 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def build_server(
-    run: RunConfig, host: str = "127.0.0.1", port: int = 8777, max_inflight: int = 8
+    run: RunConfig,
+    host: str = DEFAULT_HOST,
+    port: int = DEFAULT_PORT,
+    max_inflight: int = DEFAULT_MAX_INFLIGHT,
 ) -> RoutingHTTPServer:
     return RoutingHTTPServer((host, port), run, max_inflight)
 
 
 def serve_forever(
-    run: RunConfig, host: str, port: int, max_inflight: int = 8
+    run: RunConfig, host: str, port: int, max_inflight: int = DEFAULT_MAX_INFLIGHT
 ) -> None:
     server = build_server(run, host, port, max_inflight)
 

@@ -145,11 +145,20 @@ def featurize(
     return _set_round(features, step_index, max_steps)
 
 
+def check_feature_dim(feature_dim: int, max_steps: int) -> None:
+    """Raise ValueError unless ``feature_dim`` leaves a word slot beside the
+    round one-hot of ``max_steps + 1`` slots."""
+    if feature_dim <= max_steps + 1:
+        raise ValueError(
+            f"feature_dim too small: {feature_dim} leaves no word slot beside "
+            f"the round one-hot of {max_steps + 1} slots"
+        )
+
+
 def _word_counts(question: str, feature_dim: int, max_steps: int) -> np.ndarray:
     """`featurize`'s vector with every round slot still zero."""
+    check_feature_dim(feature_dim, max_steps)
     word_dim = feature_dim - (max_steps + 1)
-    if word_dim < 1:
-        raise ValueError("feature_dim too small for the step one-hot")
     features = np.zeros(feature_dim, dtype=float)
     for token in question.lower().split():
         features[zlib.crc32(token.encode()) % word_dim] += 1.0

@@ -714,6 +714,45 @@ def _with_bytes(name, data, argv):
 # A task row whose question is Latin-1 text: its e-acute is not UTF-8.
 LATIN1_ROW = b'{"id": "b", "question": "caf\xe9?", "golden_answers": ["x"]}\n'
 
+
+def _reward_check(name, config="eval.json"):
+    """argv for `reward-check` over the workdir files ``config`` and ``name``."""
+
+    def argv(workdir):
+        return [
+            "reward-check",
+            "--config", str(workdir / config),
+            "--file", str(workdir / name),
+        ]
+
+    return argv
+
+
+def _with_config(config, argv):
+    """``argv`` after writing the run config ``config`` to ``cfg.json``."""
+
+    def build(workdir):
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        return argv(workdir)
+
+    return build
+
+
+def _pool_priced(price):
+    """The route pool with its first model at ``price`` per token."""
+    pool = _pool_mapping()
+    pool["models"][0]["cost_per_token"] = price
+    return pool
+
+
+# One reply of one token at this price bills 1e308, which is finite, but a
+# logged reply of two tokens re-prices to infinity.
+ONE_TOKEN_ENGINE = {"max_api_response_tokens": 1, "max_routing_steps": 1}
+TWO_TOKEN_REPLY = (
+    "<search>LLaMA-3.1-70B-Instruct: q?</search>"
+    "<information>two tokens</information><answer>x</answer>"
+)
+
 BAD_INPUTS = [
     # run-config values
     pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
@@ -992,6 +1031,77 @@ BAD_INPUTS = [
         "{dir}/latin1.jsonl:1",
         id="reward-check-file-not-utf8",
     ),
+    # a bad row after a good one: stdout stays empty
+    pytest.param(
+        _with_bytes(
+            "audit2.jsonl",
+            (
+                json.dumps({"raw": "<answer>x</answer>"})
+                + "\n"
+                + json.dumps({"no_raw": 1})
+                + "\n"
+            ).encode(),
+            _reward_check("audit2.jsonl"),
+        ),
+        "{dir}/audit2.jsonl:2",
+        id="reward-check-bad-row-after-a-good-one",
+    ),
+    # a knowledge base names its file and the line
+    pytest.param(
+        _with_bytes(
+            "latin1_kb.jsonl",
+            b'{"key": "a", "answer": "b"}\n{"key": "caf\xe9?", "answer": "x"}\n',
+            _sim_backend(kb_path="latin1_kb.jsonl"),
+        ),
+        "pool model #0: {dir}/latin1_kb.jsonl: line 2",
+        id="kb-not-utf8",
+    ),
+    # a finite price whose bill overflows
+    pytest.param(
+        lambda workdir: _model(cost_per_token=1e308)(workdir)
+        + ["--gold", FILM_GOLD],
+        "run config",
+        id="price-bill-overflows",
+    ),
+    pytest.param(
+        _with_config(
+            {"pool": _pool_priced(1e308), "engine": ONE_TOKEN_ENGINE},
+            _with_bytes(
+                "overflow.jsonl",
+                json.dumps({"raw": TWO_TOKEN_REPLY}).encode() + b"\n",
+                _reward_check("overflow.jsonl", config="cfg.json"),
+            ),
+        ),
+        "{dir}/overflow.jsonl:1",
+        id="reward-check-cost-overflows",
+    ),
+    # a trainer whose features hold only the round one-hot
+    pytest.param(
+        _with_config(
+            {
+                "pool": _pool_mapping(),
+                "engine": {"max_routing_steps": 7},
+                "trainer": {"feature_dim": 8, "steps": 1, "batch_size": 1},
+            },
+            lambda workdir: [
+                "train",
+                "--config", str(workdir / "cfg.json"),
+                "--tasks", str(workdir / "tasks.jsonl"),
+            ],
+        ),
+        "trainer",
+        id="train-feature-dim-too-small",
+    ),
+    pytest.param(
+        lambda workdir: [
+            "serve",
+            "--config", str(workdir / "route.json"),
+            "--bind", "127.0.0.1:0",
+            "--max-inflight", "-1",
+        ],
+        "serve",
+        id="serve-max-inflight-negative",
+    ),
 ]
 
 
@@ -1005,6 +1115,56 @@ def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: {context.format(dir=workdir)}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            _with_bytes(
+                "latin1_params.json",
+                b'{"actions": ["caf\xe9"], "pad": "' + b"x" * 1960 + b'"}',
+                _top_level(policy={"kind": "params", "path": "latin1_params.json"}),
+            ),
+            id="params-not-utf8",
+        ),
+        pytest.param(_top_level(seed="x" * 50000), id="seed-50k"),
+        pytest.param(
+            _model(backend={"type": "x" * 50000}), id="backend-type-50k"
+        ),
+        pytest.param(_top_level(policy={"kind": "x" * 50000}), id="policy-kind-50k"),
+        pytest.param(
+            _with_bytes(
+                "dup.jsonl",
+                2 * (json.dumps({"id": "x" * 50000, "question": "q?",
+                                 "golden_answers": ["a"]}) + "\n").encode(),
+                _eval_into("dup.jsonl"),
+            ),
+            id="duplicate-task-id-50k",
+        ),
+        pytest.param(
+            _with_task_row({"id": ["x"] * 50000, "question": "q?",
+                            "golden_answers": ["a"]}),
+            id="task-id-list-50k",
+        ),
+        pytest.param(
+            _top_level(lexicon={"route": ["<think>" + "x" * 50000, "</route>"]}),
+            id="lexeme-50k",
+        ),
+        pytest.param(
+            lambda workdir: [
+                "serve", "--config", str(workdir / "route.json"), "--bind", "x" * 50000
+            ],
+            id="bind-50k",
+        ),
+    ],
+)
+def test_error_lines_are_bounded(workdir, capsys, argv):
+    code = main(argv(workdir))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert len(err.encode()) < 300
 
 
 def test_integer_price_bills_a_float_cost(workdir, capsys):

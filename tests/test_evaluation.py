@@ -20,6 +20,7 @@ from multiroute.evaluation import (
     write_episode_log,
 )
 from multiroute.policies import ScriptedPolicy
+from multiroute.pool import LineError
 from multiroute.protocol import DEFAULT_LEXICON
 from multiroute.rewards import RewardConfig
 from multiroute.trainer import LearnedRoutingPolicy, PolicyParams
@@ -99,6 +100,11 @@ def test_load_tasks_reports_line_numbers_after_blanks(tmp_path):
     with pytest.raises(TaskFileError) as exc_info:
         load_tasks(path)
     assert exc_info.value.line_no == 3
+
+
+def test_task_file_error_is_the_jsonl_line_error():
+    assert TaskFileError is LineError
+    assert issubclass(DuplicateTaskIdError, LineError)
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,13 @@ def test_checker_flags_relative_and_absolute_private_imports():
         "<source>:1: from .cli import _policy_factory",
         "<source>:2: from multiroute.pool import _reply_fields",
     ]
+
+
+def test_utf8_line_rule_lives_only_in_read_jsonl():
+    """Only ``pool.read_jsonl`` decodes with ``surrogateescape``, so every
+    JSONL reader shares its one rule for a line that is not UTF-8."""
+    counts = {
+        path.name: path.read_text(encoding="utf-8").count("surrogateescape")
+        for path in MODULES
+    }
+    assert {name: n for name, n in counts.items() if n} == {"pool.py": 1}

@@ -17,6 +17,7 @@ from multiroute.pool import (
     CallRecord,
     DuplicateIdError,
     HttpBackend,
+    LineError,
     ModelDescriptor,
     RoutingPool,
     SimulatedBackend,
@@ -25,6 +26,7 @@ from multiroute.pool import (
     canonical,
     dispatch,
     load_knowledge_base,
+    read_jsonl,
     render_assist_prompt,
     token_count,
     truncate_tokens,
@@ -268,6 +270,31 @@ def test_load_knowledge_base_rejects_bad_rows(tmp_path):
     path.write_text('{"key": "ok", "answer": "fine"}\n{"key": "missing"}\n')
     with pytest.raises(ValueError, match="2"):
         load_knowledge_base(str(path))
+
+
+def test_read_jsonl_numbers_nonblank_lines_from_1(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n\n  \r\n[2]\r\n"three"\n')
+    assert read_jsonl(str(path)) == [(1, {"a": 1}), (4, [2]), (5, "three")]
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        (b'{"b": "caf\xe9"}', "not UTF-8 text"),
+        (b"{broken", "invalid JSON: "),
+        (b"[" * 100_000, "invalid JSON: "),
+    ],
+    ids=["not-utf8", "invalid-json", "nested-too-deep"],
+)
+def test_read_jsonl_names_the_bad_line(tmp_path, line, detail):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+    with pytest.raises(LineError) as exc_info:
+        read_jsonl(str(path))
+    assert exc_info.value.line_no == 2
+    assert exc_info.value.detail.startswith(detail)
+    assert str(exc_info.value) == f"line 2: {exc_info.value.detail}"
 
 
 # ---------------------------------------------------------------------------
