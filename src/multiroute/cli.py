@@ -52,8 +52,15 @@ def cmd_route(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
+def _load_nonempty_tasks(path: str) -> list[TaskRecord]:
+    tasks = load_tasks(path)
+    if not tasks:
+        raise CliError(f"{path}: no tasks")
+    return tasks
+
+
 def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
-    tasks = load_tasks(args.tasks)
+    tasks = _load_nonempty_tasks(args.tasks)
     factory = policy_factory(run)
     summary, episodes = evaluate(
         tasks,
@@ -78,7 +85,7 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
         check_feature_dim(run.trainer.feature_dim, run.engine.max_routing_steps)
     except ValueError as exc:
         raise CliError(f"trainer: {exc}") from None
-    tasks = load_tasks(args.tasks)
+    tasks = _load_nonempty_tasks(args.tasks)
     result = train(
         tasks,
         run.pool,

@@ -8,6 +8,7 @@ built by the class that owns it and holds its defaults (``build_section``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -44,10 +45,15 @@ def build_section(cls, section, context: str, **fixed):
     """Build ``cls(**section, **fixed)`` from one config section.
 
     Raises:
-        ConfigError: the section is not an object, or ``cls`` rejects a key or
-            value with a TypeError, ValueError or OverflowError.
+        ConfigError: the section is not an object, holds a key that is not
+            a field of ``cls``, or ``cls`` rejects a value with a TypeError,
+            ValueError or OverflowError.
     """
     _object(section, context)
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in section:
+        if key not in names:
+            raise ConfigError(f"{context}: unknown key {reprlib.repr(key)}")
     try:
         return cls(**section, **fixed)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -221,20 +221,22 @@ def _handle_route(
 
 
 def _fit_info_to_budget(
-    info_text: str, prompt: str, trajectory_text: str, config: EngineConfig, lexicon: TagLexicon
-) -> str:
-    """Trim info content so the full context stays under the sequence cap."""
+    info_text: str, context_tokens: int, config: EngineConfig, lexicon: TagLexicon
+) -> tuple[str, int]:
+    """Trim info content so the full context stays under the sequence cap.
+
+    ``context_tokens`` counts the context the block joins.  Returns the block
+    and its own token count.
+    """
     while True:
         block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
-        overflow = (
-            token_count(prompt + trajectory_text + block)
-            - config.max_sequence_tokens
-        )
+        block_tokens = token_count(block)
+        overflow = context_tokens + block_tokens - config.max_sequence_tokens
         if overflow <= 0:
-            return block
+            return block, block_tokens
         words = info_text.split()
         if not words:
-            return block
+            return block, block_tokens
         info_text = " ".join(words[: max(0, len(words) - overflow)])
 
 
@@ -306,6 +308,7 @@ def run_episode(
     lexicon = config.lexicon
     prompt = build_prompt(question, pool, lexicon)
     trajectory_text = ""
+    context_tokens = 0
     calls: list[CallRecord] = []
 
     while True:
@@ -326,11 +329,20 @@ def run_episode(
         if open_at == -1:
             break
         interior = trimmed[open_at + len(lexicon.route_open) : -len(lexicon.route_close)]
+        # The context is counted at the first route and kept running after.
+        # Every info block starts and ends with "\n", so no word spans the
+        # join before a block or the join after one, and the counts add up.
+        if calls:
+            context_tokens += token_count(continuation)
+        else:
+            context_tokens = token_count(prompt + trajectory_text)
         record, info_text = _handle_route(interior, pool, config)
         calls.append(record)
-        trajectory_text += _fit_info_to_budget(
-            info_text, prompt, trajectory_text, config, lexicon
+        block, block_tokens = _fit_info_to_budget(
+            info_text, context_tokens, config, lexicon
         )
+        trajectory_text += block
+        context_tokens += block_tokens
 
     verdict = validate_format(trajectory_text, lexicon, pool)
     trajectory = verdict.trajectory

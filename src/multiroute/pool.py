@@ -53,6 +53,8 @@ _FILLER_WORDS = (
     "supporting context follows covering adjacent details "
     "records sources and related notes for completeness"
 ).split()
+# The whole filler cycle, joined once: a pad is whole cycles plus a remainder.
+_FILLER_CYCLE = " ".join(_FILLER_WORDS)
 
 
 class DuplicateIdError(ValueError):
@@ -149,8 +151,9 @@ class SimulatedBackend:
         padding = self.profile.verbosity - token_count(content)
         if padding <= 0:
             return content
-        filler = [_FILLER_WORDS[i % len(_FILLER_WORDS)] for i in range(padding)]
-        return content + "\n" + " ".join(filler)
+        cycles, rest = divmod(padding, len(_FILLER_WORDS))
+        filler = " ".join([_FILLER_CYCLE] * cycles + _FILLER_WORDS[:rest])
+        return content + "\n" + filler
 
     @staticmethod
     def _extract_sub_query(prompt: str) -> str:

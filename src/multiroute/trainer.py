@@ -93,10 +93,15 @@ class PolicyParams:
     @classmethod
     def from_json(cls, text: str) -> "PolicyParams":
         data = json.loads(text)
+        try:
+            weights = np.asarray(data["weights"], dtype=float)
+        except ValueError:
+            # numpy's own message echoes the bad entry, however long it is.
+            raise ValueError("weights must be a matrix of numbers") from None
         return cls(
             feature_dim=data["feature_dim"],
             actions=tuple(data["actions"]),
-            weights=np.asarray(data["weights"], dtype=float),
+            weights=weights,
             temperature=data["temperature"],
         )
 

@@ -1102,6 +1102,25 @@ BAD_INPUTS = [
         "serve",
         id="serve-max-inflight-negative",
     ),
+    # a task file with no rows, empty or blank
+    pytest.param(
+        _with_bytes("empty.jsonl", b"", _eval_into("empty.jsonl")),
+        "{dir}/empty.jsonl",
+        id="eval-empty-task-file",
+    ),
+    pytest.param(
+        _with_bytes(
+            "blank.jsonl",
+            b"\n  \n",
+            lambda workdir: [
+                "train",
+                "--config", str(workdir / "eval.json"),
+                "--tasks", str(workdir / "blank.jsonl"),
+            ],
+        ),
+        "{dir}/blank.jsonl",
+        id="train-empty-task-file",
+    ),
 ]
 
 
@@ -1156,6 +1175,11 @@ def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
                 "serve", "--config", str(workdir / "route.json"), "--bind", "x" * 50000
             ],
             id="bind-50k",
+        ),
+        pytest.param(_top_level(engine={"x" * 5000: 1}), id="engine-key-5k"),
+        pytest.param(
+            _with_params(weights=[["x" * 5000, 0.0, 0.0]] + [[0.0] * 3] * 63),
+            id="params-weight-5k",
         ),
     ],
 )

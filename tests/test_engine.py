@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import multiroute.engine as engine
 import multiroute.protocol as protocol
 from multiroute.engine import (
     NO_ASSISTANCE_TEXT,
@@ -319,6 +320,108 @@ def test_info_is_trimmed_to_sequence_budget(case_pool):
     assert token_count(injected) < token_count(
         episode.calls[0].response_text
     ) + token_count("<information> </information>")
+
+
+TOPA_Q = "Where was the place of death of Topa Inca Yupanqui's father?"
+
+# Four routes, then an answer.  The continuations begin and end both with
+# and without whitespace, so every kind of join meets the running count.
+MULTI_ROUTE_SCRIPT = [
+    "<think>ask the large model</think>\n"
+    f"<search>LLaMA-3.1-70B-Instruct: {TOPA_Q}</search>",
+    "\n<think>check it</think> "
+    "<search>Gemma-2-27B-Instruct: who was his father?</search>\n",
+    "<think>once more</think>"
+    "<search>Mixtral-8x22B-Instruct: where did he die?</search>  ",
+    " \t<think>last</think>\n<search>Qwen2.5-7B-Instruct: in which city?</search>",
+    "<think>done</think><answer>Cusco</answer>",
+]
+
+
+def _capped_config(cap):
+    return EngineConfig(
+        max_routing_steps=4, max_sequence_tokens=cap, max_api_response_tokens=cap
+    )
+
+
+def _full_recount_episode(prompt, script, replies, cap):
+    """(raw_trajectory, mask_spans) of an episode whose routes got ``replies``,
+    with each info block trimmed by recounting the whole context."""
+    lexicon = DEFAULT_LEXICON
+    text = ""
+    spans = []
+    for continuation, info in zip(script, replies):
+        text += continuation
+        while True:
+            block = f"\n{lexicon.info_open}{info}{lexicon.info_close}\n"
+            overflow = token_count(prompt + text + block) - cap
+            words = info.split()
+            if overflow <= 0 or not words:
+                break
+            info = " ".join(words[: max(0, len(words) - overflow)])
+        spans.append((len(text) + 1, len(text) + len(block) - 1))
+        text += block
+    return text + script[len(replies)], spans
+
+
+@pytest.mark.parametrize("spare", [2000, 150, 100, 60, 30, 10, 1])
+def test_multi_route_trims_match_a_full_recount(case_pool, spare):
+    prompt = build_prompt(TOPA_Q, case_pool)
+    cap = token_count(prompt) + spare
+    episode = run_episode(
+        TOPA_Q,
+        ["Cusco"],
+        ScriptedPolicy(MULTI_ROUTE_SCRIPT),
+        case_pool,
+        _window(),
+        _capped_config(cap),
+    )
+    assert episode.route_count == 4
+    replies = [call.response_text for call in episode.calls]
+    raw, spans = _full_recount_episode(prompt, MULTI_ROUTE_SCRIPT, replies, cap)
+    assert episode.raw_trajectory == raw
+    assert episode.mask_spans == spans
+
+
+def test_multi_route_contexts_stay_within_the_cap(case_pool):
+    # The cap trims the last of four replies by ten words; each earlier reply
+    # fits whole.
+    roomy = ScriptedPolicy(MULTI_ROUTE_SCRIPT)
+    run_episode(TOPA_Q, ["Cusco"], roomy, case_pool, _window())
+    cap = token_count(roomy.seen_contexts[-1]) - 10
+    assert token_count(roomy.seen_contexts[-2]) < cap
+    policy = ScriptedPolicy(MULTI_ROUTE_SCRIPT)
+    episode = run_episode(
+        TOPA_Q, ["Cusco"], policy, case_pool, _window(), _capped_config(cap)
+    )
+    assert episode.route_count == 4
+    assert all(token_count(context) <= cap for context in policy.seen_contexts)
+    assert token_count(policy.seen_contexts[-1]) == cap
+    prompt = build_prompt(TOPA_Q, case_pool)
+    replies = [call.response_text for call in episode.calls]
+    raw, spans = _full_recount_episode(prompt, MULTI_ROUTE_SCRIPT, replies, cap)
+    assert (episode.raw_trajectory, episode.mask_spans) == (raw, spans)
+
+
+@pytest.mark.parametrize("routes", [0, 1, 2, 3, 4])
+def test_episode_counts_context_tokens_twice_per_route(
+    case_pool, monkeypatch, routes
+):
+    # Untrimmed: one count of the context and one of the block per route, and
+    # none at all for an episode that answers without routing.
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return token_count(text)
+
+    monkeypatch.setattr(engine, "token_count", counting)
+    script = MULTI_ROUTE_SCRIPT[:routes] + [MULTI_ROUTE_SCRIPT[-1]]
+    episode = run_episode(
+        TOPA_Q, ["Cusco"], ScriptedPolicy(script), case_pool, _window()
+    )
+    assert episode.route_count == routes
+    assert len(calls) == 2 * routes
 
 
 def test_unscored_episode_skips_reward_and_window(case_pool):

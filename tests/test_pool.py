@@ -123,6 +123,38 @@ def test_sim_backend_hit_and_miss_have_equal_length():
     assert token_count(miss) == verbosity
 
 
+# The simulated backend's filler words, in order, as the reference below
+# cycles them.
+FILLER_WORDS = (
+    "supporting context follows covering adjacent details "
+    "records sources and related notes for completeness"
+).split()
+
+
+def _padded_by_words(content, verbosity):
+    """A reply padded one filler word at a time: the reference form."""
+    padding = verbosity - token_count(content)
+    if padding <= 0:
+        return content
+    filler = [FILLER_WORDS[i % len(FILLER_WORDS)] for i in range(padding)]
+    return content + "\n" + " ".join(filler)
+
+
+def test_sim_backend_filler_equals_the_word_by_word_form():
+    prompt = render_assist_prompt("q")
+    for padding in range(2000):
+        backend = _sim({"q": "the answer"}, verbosity=2 + padding)
+        text, _, _ = backend.complete(prompt, 4000)
+        assert text == _padded_by_words("the answer", 2 + padding), padding
+
+
+def test_sim_backend_does_not_pad_content_longer_than_verbosity():
+    answer = "one two three four five"
+    backend = _sim({"q": answer}, verbosity=3)
+    text, _, _ = backend.complete(render_assist_prompt("q"), 600)
+    assert text == answer == _padded_by_words(answer, 3)
+
+
 def test_sim_backend_is_stateless_and_deterministic():
     backend = _sim({"q": "a"}, accuracy=0.5, seed=9)
     prompt = render_assist_prompt("q")
