@@ -8,15 +8,18 @@ truncates the reply to the per-call token cap, and prices it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import math
 import os
+import reprlib
+import ssl
 import time
+import urllib.parse
 from dataclasses import dataclass, field
-from typing import Optional
-
-import requests
+from typing import Callable, Optional
 
 from .rewards import check_field_types, normalize_answer
 
@@ -193,6 +196,72 @@ def _reply_fields(body) -> tuple[str, Optional[int], Optional[str]]:
     return text, tokens, choice.get("finish_reason")
 
 
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """The verifying TLS context every HTTPS call shares, built at the first
+    one: building it loads the system trust store, which takes tens of ms."""
+    return ssl.create_default_context()
+
+
+def _endpoint(
+    url: str, timeout_s: float
+) -> tuple[Callable[[], http.client.HTTPConnection], str]:
+    """Split a chat endpoint URL into a connection factory and the request
+    target, which is the path and query.
+
+    The fragment and any ``user:pass@`` are dropped.  A URL that cannot be
+    used raises BackendError with status 0, worded as ``requests`` words it.
+    """
+    shown = reprlib.repr(url)
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port
+    except ValueError as exc:
+        raise BackendError(0, f"Invalid URL {shown}: {exc}") from None
+    if not parts.scheme:
+        raise BackendError(0, f"Invalid URL {shown}: No scheme supplied")
+    if parts.scheme not in ("http", "https"):
+        raise BackendError(0, f"No connection adapters were found for {shown}")
+    if not parts.hostname:
+        raise BackendError(0, f"Invalid URL {shown}: No host supplied")
+    if parts.scheme == "https":
+        connect = functools.partial(
+            http.client.HTTPSConnection,
+            parts.hostname,
+            http.client.HTTPS_PORT if port is None else port,
+            timeout=timeout_s,
+            context=_tls_context(),
+        )
+    else:
+        connect = functools.partial(
+            http.client.HTTPConnection,
+            parts.hostname,
+            http.client.HTTP_PORT if port is None else port,
+            timeout=timeout_s,
+        )
+    target = parts.path or "/"
+    if parts.query:
+        target = f"{target}?{parts.query}"
+    return connect, target
+
+
+def _post(
+    connect: Callable[[], http.client.HTTPConnection],
+    target: str,
+    data: bytes,
+    headers: dict,
+) -> tuple[int, bytes]:
+    """POST ``data`` on a connection of its own, closed before returning;
+    returns the reply's status and body."""
+    connection = connect()
+    try:
+        connection.request("POST", target, data, headers)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
 @dataclass(frozen=True)
 class ChatEndpoint:
     """A chat-completions endpoint: the model name and the environment
@@ -222,10 +291,11 @@ class ChatEndpoint:
         """POST one chat completion; returns (text, completion_tokens,
         finish_reason).
 
-        Retries once on timeout, connection failure, or 5xx, then raises
-        BackendTimeout / BackendError; an unset URL, any other request error
-        (such as a URL with no scheme), a non-200 reply or a malformed 200
-        body raises BackendError at once.
+        Each attempt opens one connection with the standard library's client
+        and closes it.  Retries once on timeout, connection or protocol
+        failure, or 5xx, then raises BackendTimeout / BackendError; an unset
+        or unusable URL, any other request error, a non-200 reply (a 3xx is
+        not followed) or a malformed 200 body raises BackendError at once.
         """
         url = os.environ.get(self.url_env)
         if not url:
@@ -242,26 +312,37 @@ class ChatEndpoint:
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        try:
+            data = json.dumps(payload, allow_nan=False).encode()
+        except ValueError as exc:
+            raise BackendError(0, str(exc)) from None
+        connect, target = _endpoint(url, timeout_ms / 1000.0)
 
         last_exc: Exception | None = None
         last_status: Optional[int] = None
         for _ in range(2):
             try:
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=timeout_ms / 1000.0
-                )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                status, reply = _post(connect, target, data, headers)
+            # InvalidURL is an HTTPException, and a TLS certificate failure a
+            # ValueError as well as an OSError: the order of these matters.
+            except http.client.InvalidURL as exc:
+                raise BackendError(
+                    0, f"cannot send to {reprlib.repr(url)}: {exc}"
+                ) from None
+            except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
                 continue
-            except requests.RequestException as exc:
-                raise BackendError(0, str(exc)) from None
-            if response.status_code >= 500:
-                last_status = response.status_code
+            except ValueError as exc:  # such as a host label IDNA rejects
+                raise BackendError(
+                    0, f"cannot send to {reprlib.repr(url)}: {exc}"
+                ) from None
+            if status >= 500:
+                last_status = status
                 continue
-            if response.status_code != 200:
-                raise BackendError(response.status_code, response.text[:200])
+            if status != 200:
+                raise BackendError(status, reply.decode(errors="replace")[:200])
             try:
-                body = response.json()
+                body = json.loads(reply)
             except (ValueError, RecursionError):
                 raise BackendError(200, "reply body is not JSON") from None
             return _reply_fields(body)

@@ -1303,3 +1303,19 @@ def test_unusable_policy_url_exits_1_with_one_error_line(
     assert captured.err.startswith(
         "error: policy: backend returned status 0: Invalid URL 'not-a-url'"
     )
+
+
+def test_policy_url_with_an_empty_host_label_exits_1_with_one_error_line(
+    workdir, capsys, monkeypatch
+):
+    monkeypatch.setenv("MULTIROUTE_POLICY_URL", "http://a..b/")
+    path = workdir / "http_policy.json"
+    path.write_text(
+        json.dumps({"pool": _pool_mapping(), "policy": {"kind": "http", "model": "p"}})
+    )
+    code = main(["route", "--config", str(path), "--question", FILM_Q])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: policy: backend returned status 0: ")

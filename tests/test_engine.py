@@ -28,7 +28,12 @@ from multiroute.pool import (
 from multiroute.protocol import DEFAULT_LEXICON, FormatRule, TagLexicon
 from multiroute.rewards import CostWindow, RewardConfig
 
-from http_stub import chat_body, start_scripted_server, stop_server
+from http_stub import (
+    chat_body,
+    resolve_loopback_only,
+    start_scripted_server,
+    stop_server,
+)
 
 QUESTION = (
     "Which film was released more recently, Sacred Silence or "
@@ -704,8 +709,9 @@ def test_episode_record_bytes_match_golden_hash(case_pool):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_EPISODE_SHA256
 
 
-def test_unusable_endpoint_url_becomes_zero_cost_error_call(monkeypatch):
-    monkeypatch.setenv("MULTIROUTE_API_URL", "not-a-url")
+def _episode_at_endpoint(monkeypatch, url):
+    """Run one episode that routes once to an HTTP backend at ``url``."""
+    monkeypatch.setenv("MULTIROUTE_API_URL", url)
     pool = RoutingPool(
         [ModelDescriptor("r", "Remote-70B", 70, 2.0, "remote", HttpBackend("r"))]
     )
@@ -715,10 +721,40 @@ def test_unusable_endpoint_url_becomes_zero_cost_error_call(monkeypatch):
             "<think>t</think><answer>unknown</answer>",
         ]
     )
-    episode = run_episode("Q?", ["x"], policy, pool, _window())
+    return run_episode("Q?", ["x"], policy, pool, _window())
+
+
+def test_unusable_endpoint_url_becomes_zero_cost_error_call(monkeypatch):
+    episode = _episode_at_endpoint(monkeypatch, "not-a-url")
     (call,) = episode.calls
     assert call.model_id == "r"
     assert "Invalid URL 'not-a-url'" in call.error
+    assert call.output_tokens == 0 and call.cost == 0.0
+    assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
+    assert episode.verdict.ok
+
+
+# Endpoint URLs that fail in parsing, in the connection's own checks, in the
+# IDNA encoding of the host, in name lookup or at connect.
+HOSTILE_ENDPOINT_URLS = [
+    pytest.param("http://a..b/", id="empty-host-label"),
+    pytest.param(f"http://{'a' * 300}/", id="300-char-host-label"),
+    pytest.param("http://[::1/", id="unclosed-ipv6-bracket"),
+    pytest.param("http://h:99999/", id="port-out-of-range"),
+    pytest.param("http://h:abc/", id="port-not-a-number"),
+    pytest.param("http://exa mple/", id="space-in-host"),
+    pytest.param("http://127.0.0.1:9/a b", id="space-in-path"),
+    pytest.param("http://\u00e9.invalid/", id="unresolvable-idna-host"),
+    pytest.param("HTTP://127.0.0.1:9/", id="upper-case-scheme-refused"),
+]
+
+
+@pytest.mark.parametrize("url", HOSTILE_ENDPOINT_URLS)
+def test_hostile_endpoint_url_becomes_zero_cost_error_call(monkeypatch, url):
+    resolve_loopback_only(monkeypatch)
+    episode = _episode_at_endpoint(monkeypatch, url)
+    (call,) = episode.calls
+    assert call.error
     assert call.output_tokens == 0 and call.cost == 0.0
     assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
     assert episode.verdict.ok

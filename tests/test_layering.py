@@ -1,14 +1,19 @@
-"""Package modules use each other only through public names.
+"""Package modules use each other only through public names, and the
+package does not import ``requests``.
 
 A ``_``-prefixed name is private to the module that defines it; importing
 one from another package module couples the two on an implementation
 detail.  This test parses every module under ``src/multiroute/`` and fails on
-any such import.
+any such import.  The HTTP clients use the standard library, so ``requests``
+is a test dependency only.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +74,40 @@ def test_utf8_line_rule_lives_only_in_read_jsonl():
         for path in MODULES
     }
     assert {name: n for name, n in counts.items() if n} == {"pool.py": 1}
+
+
+def imported_top_modules(source: str) -> set[str]:
+    """First components of the absolute imports in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_checker_finds_plain_and_from_imports():
+    source = "import requests.adapters\nfrom numpy import array\nfrom . import pool\n"
+    assert imported_top_modules(source) == {"requests", "numpy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_does_not_import_requests(path):
+    assert "requests" not in imported_top_modules(path.read_text(encoding="utf-8"))
+
+
+def test_front_ends_leave_requests_unloaded():
+    code = (
+        "import sys, multiroute.cli, multiroute.serve; "
+        "print('requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        check=True,
+    )
+    assert result.stdout == "False\n"

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import pytest
-import requests
 
 from http_stub import chat_body, start_scripted_server, stop_server
 
@@ -32,6 +32,7 @@ from multiroute.pool import (
     truncate_tokens,
     unit_draw,
 )
+from multiroute.policies import HttpPolicy
 from multiroute.rewards import normalize_answer
 
 # ---------------------------------------------------------------------------
@@ -470,16 +471,85 @@ def test_http_backend_unusable_url_is_a_status_0_backend_error(
     assert detail in str(exc_info.value)
 
 
-def test_http_backend_other_request_error_is_not_retried(monkeypatch):
-    posts = []
+@pytest.mark.parametrize(
+    "path", ["/a b", "/a\x01b"], ids=["space-in-path", "control-char-in-path"]
+)
+def test_http_backend_unsendable_path_is_not_retried(monkeypatch, path):
+    attempts = []
+    real_request = http.client.HTTPConnection.request
 
-    def post(url, **kwargs):
-        posts.append(url)
-        raise requests.TooManyRedirects("redirect loop")
+    def request(self, *args, **kwargs):
+        attempts.append(args)
+        return real_request(self, *args, **kwargs)
 
-    monkeypatch.setenv("MULTIROUTE_API_URL", "http://127.0.0.1:9/")
-    monkeypatch.setattr(requests, "post", post)
-    with pytest.raises(BackendError, match="redirect loop") as exc_info:
+    monkeypatch.setenv("MULTIROUTE_API_URL", "http://127.0.0.1:9" + path)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+    with pytest.raises(BackendError) as exc_info:
         HttpBackend(model="remote").complete("p", 600)
     assert exc_info.value.status == 0
-    assert posts == ["http://127.0.0.1:9/"]
+    assert len(attempts) == 1
+
+
+def test_http_backend_redirect_is_an_error_without_retry(http_endpoint):
+    http_endpoint.script.append(
+        {"status": 302, "body": {}, "headers": {"Location": http_endpoint.url}}
+    )
+    with pytest.raises(BackendError) as exc_info:
+        HttpBackend(model="remote").complete("p", 600)
+    assert exc_info.value.status == 302
+    assert len(http_endpoint.requests) == 1
+
+
+# (url variable, key variable, call, the payload it must send) for each
+# ChatEndpoint front: the pool's backend and the policy, which sends ``stop``.
+CHAT_FRONTS = [
+    pytest.param(
+        "MULTIROUTE_API_URL",
+        "MULTIROUTE_API_KEY",
+        lambda: HttpBackend(model="remote", temperature=0.5).complete(
+            "sub-query \u00e9", 600
+        ),
+        {
+            "model": "remote",
+            "messages": [{"role": "user", "content": "sub-query \u00e9"}],
+            "max_tokens": 600,
+            "temperature": 0.5,
+        },
+        id="backend",
+    ),
+    pytest.param(
+        "MULTIROUTE_POLICY_URL",
+        "MULTIROUTE_POLICY_KEY",
+        lambda: HttpPolicy(model="policy").generate(
+            "context", ["</search>", "</answer>"], 64
+        ),
+        {
+            "model": "policy",
+            "messages": [{"role": "user", "content": "context"}],
+            "max_tokens": 64,
+            "temperature": 1.0,
+            "stop": ["</search>", "</answer>"],
+        },
+        id="policy",
+    ),
+]
+
+
+@pytest.mark.parametrize("keyed", [True, False], ids=["key-set", "key-unset"])
+@pytest.mark.parametrize("url_env, key_env, call, payload", CHAT_FRONTS)
+def test_chat_request_wire_format(monkeypatch, url_env, key_env, call, payload, keyed):
+    server = start_scripted_server([{"status": 200, "body": chat_body("reply")}])
+    monkeypatch.setenv(url_env, server.url + "?x=1#frag")
+    if keyed:
+        monkeypatch.setenv(key_env, "k")
+    else:
+        monkeypatch.delenv(key_env, raising=False)
+    try:
+        call()
+    finally:
+        stop_server(server)
+    (request,) = server.requests
+    assert request["target"] == "/v1/chat/completions?x=1"
+    assert request["body"] == json.dumps(payload, allow_nan=False).encode()
+    assert request["headers"]["content-type"] == "application/json"
+    assert request["headers"].get("authorization") == ("Bearer k" if keyed else None)
