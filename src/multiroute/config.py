@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,7 +93,7 @@ def read_json(path: str, what: str):
             return json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: invalid JSON: {exc}")
 
 
@@ -149,21 +149,15 @@ class RunConfig:
         if not isinstance(self.policy, dict) or "kind" not in self.policy:
             raise ValueError("policy section must be an object with a 'kind'")
         check_field_types(self)
-        costs = self.eval_warmup_costs
-        if not isinstance(costs, (list, tuple)) or not all(
-            isinstance(c, (int, float))
-            and not isinstance(c, bool)
-            and math.isfinite(c)
-            and c >= 0
-            for c in costs
-        ):
-            raise ValueError("eval_warmup_costs must be finite numbers >= 0")
-        self.eval_warmup_costs = tuple(float(c) for c in costs)
-        # The largest bill an episode can run up must stay a finite float.
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if any(cost < 0 for cost in self.eval_warmup_costs):
+            raise ValueError("eval_warmup_costs must be numbers >= 0")
+        # The largest bill an episode can run up must not overflow a float.
         engine = self.engine
         most_tokens = engine.max_api_response_tokens * engine.max_routing_steps
         for i, model in enumerate(self.pool):
-            if not math.isfinite(model.cost_per_token * most_tokens):
+            if model.cost_per_token * most_tokens > sys.float_info.max:
                 raise ValueError(
                     f"pool model #{i}: cost_per_token {model.cost_per_token} "
                     f"overflows a bill of {most_tokens} tokens"

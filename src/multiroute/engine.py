@@ -10,7 +10,6 @@ policy never emits itself (they are excluded from the training loss via
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,12 +49,16 @@ from .rewards import (
     format_reward,
 )
 
-# Info text injected when a dispatched call fails at the backend.
-NO_ASSISTANCE_TEXT = "No assistance available for this step."
+# Info text injected when a dispatched call fails at the backend.  A route
+# directive that fails gets ``_directive_error_notice``: ROUTING_ERROR_PREFIX,
+# the reason, then this text.
+NO_ASSISTANCE_PREFIX = "No assistance available"
+NO_ASSISTANCE_TEXT = f"{NO_ASSISTANCE_PREFIX} for this step."
+ROUTING_ERROR_PREFIX = "Routing error"
 
-# Prefixes of the info notices the engine injects for failed routes (see
-# ``NO_ASSISTANCE_TEXT`` and ``_directive_error_notice``); they bill nothing.
-FAILURE_NOTICE_PREFIXES = ("Routing error", "No assistance available")
+# Openings of the info notices the engine injects for failed routes; they
+# bill nothing.
+FAILURE_NOTICE_PREFIXES = (ROUTING_ERROR_PREFIX, NO_ASSISTANCE_PREFIX)
 
 # Info prefixes that carry no usable answer; policies may use these to tell
 # helpful replies apart from canned failure notices.
@@ -111,8 +114,8 @@ class EngineConfig:
             raise ValueError(
                 "max_api_response_tokens cannot exceed max_sequence_tokens"
             )
-        if not 0 < self.timeout_ms < math.inf:
-            raise ValueError("timeout_ms must be positive and finite")
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be positive")
 
 
 class PolicyBackend(abc.ABC):
@@ -176,10 +179,7 @@ def build_prompt(
 
 
 def _directive_error_notice(error: DirectiveError) -> str:
-    return (
-        f"Routing error ({error.kind.value}): {error}. "
-        "No assistance available for this step."
-    )
+    return f"{ROUTING_ERROR_PREFIX} ({error.kind.value}): {error}. {NO_ASSISTANCE_TEXT}"
 
 
 def _handle_route(

@@ -12,7 +12,6 @@ import functools
 import hashlib
 import http.client
 import json
-import math
 import os
 import reprlib
 import ssl
@@ -301,6 +300,9 @@ class ChatEndpoint:
         if not url:
             raise BackendError(0, f"environment variable {self.url_env} is not set")
         api_key = os.environ.get(self.api_key_env, "")
+        # http.client would echo a key it cannot send in its error text.
+        if not (api_key.isascii() and api_key.isprintable()):
+            raise BackendError(0, f"{self.api_key_env} is not printable ASCII")
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -380,10 +382,10 @@ class ModelDescriptor:
         for name in ("id", "display_name", "descriptor_text"):
             if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be nonempty")
-        if not 0 < self.param_count_b < math.inf:
-            raise ValueError("param_count_b must be positive and finite")
-        if not 0 <= self.cost_per_token < math.inf:
-            raise ValueError("cost_per_token must be nonnegative and finite")
+        if self.param_count_b <= 0:
+            raise ValueError("param_count_b must be positive")
+        if self.cost_per_token < 0:
+            raise ValueError("cost_per_token must be nonnegative")
 
 
 class RoutingPool:
@@ -533,7 +535,7 @@ def read_jsonl(path: str) -> list[tuple[int, object]]:
                 rows.append((line_no, json.loads(line)))
             except UnicodeEncodeError:
                 raise LineError(line_no, "not UTF-8 text") from None
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise LineError(line_no, f"invalid JSON: {exc}") from None
     return rows
 

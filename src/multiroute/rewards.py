@@ -27,27 +27,38 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 def check_field_types(config) -> None:
     """Check that each ``int`` field of a dataclass holds an integer, each
-    ``float`` field a real number and each ``str`` field a string; a bool is
-    neither number.  A ``float`` field is then stored as a Python float.
+    ``float`` field a finite real number, each ``tuple[float, ...]`` field a
+    list or tuple of them and each ``str`` field a string; a bool is neither
+    number.  Numbers are stored as Python floats, a tuple of them for a tuple.
 
     Raises:
         TypeError: naming the first field that holds another type.
+        ValueError: naming the first number that is NaN or infinite, which
+            ``json`` reads from ``NaN`` and ``Infinity``.
     """
     for spec in dataclasses.fields(config):
-        value = getattr(config, spec.name)
+        name, value = spec.name, getattr(config, spec.name)
         # Annotations are strings under ``from __future__ import annotations``.
-        if spec.type in ("int", int):
-            ok, kind = isinstance(value, numbers.Integral), "an integer"
-        elif spec.type in ("float", float):
-            ok, kind = isinstance(value, numbers.Real), "a number"
-        elif spec.type in ("str", str):
-            ok, kind = isinstance(value, str), "a string"
-        else:
-            continue
-        if not ok or isinstance(value, bool):
-            raise TypeError(f"{spec.name} must be {kind}, got {reprlib.repr(value)}")
         if spec.type in ("float", float):
-            object.__setattr__(config, spec.name, float(value))
+            object.__setattr__(config, name, _finite(name, value))
+        elif spec.type == "tuple[float, ...]":
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{name} must be a list, got {reprlib.repr(value)}")
+            value = tuple(_finite(f"{name}[{i}]", v) for i, v in enumerate(value))
+            object.__setattr__(config, name, value)
+        elif spec.type in ("int", int):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        elif spec.type in ("str", str) and not isinstance(value, str):
+            raise TypeError(f"{name} must be a string, got {reprlib.repr(value)}")
+
+
+def _finite(name: str, value) -> float:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ class PolicyParams:
             )
         if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError("temperature must be positive and finite")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
 
     @classmethod
     def initial(
@@ -129,6 +129,8 @@ class TrainConfig:
             raise ValueError("beta must be nonnegative")
         if not 0.0 <= self.baseline_momentum < 1.0:
             raise ValueError("baseline_momentum must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.feature_dim < 8:
             raise ValueError("feature_dim must be at least 8")
         if self.temperature <= 0:

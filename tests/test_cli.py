@@ -745,6 +745,24 @@ def _pool_priced(price):
     return pool
 
 
+def _train_with(trainer, *flags):
+    """argv for a two-step `train` over the route pool and ``tasks.jsonl``,
+    with ``trainer`` added to the trainer section and ``flags`` appended."""
+    config = {
+        "pool": _pool_mapping(),
+        "trainer": {"steps": 2, "batch_size": 1, **trainer},
+    }
+    return _with_config(
+        config,
+        lambda workdir: [
+            "train",
+            "--config", str(workdir / "cfg.json"),
+            "--tasks", str(workdir / "tasks.jsonl"),
+            *flags,
+        ],
+    )
+
+
 # One reply of one token at this price bills 1e308, which is finite, but a
 # logged reply of two tokens re-prices to infinity.
 ONE_TOKEN_ENGINE = {"max_api_response_tokens": 1, "max_routing_steps": 1}
@@ -1121,6 +1139,62 @@ BAD_INPUTS = [
         "{dir}/blank.jsonl",
         id="train-empty-task-file",
     ),
+    # number fields holding NaN or an infinity, which JSON files can spell
+    pytest.param(
+        lambda workdir: _top_level(reward={"epsilon": float("nan")})(workdir)
+        + ["--gold", FILM_GOLD],
+        "reward",
+        id="reward-epsilon-nan",
+    ),
+    pytest.param(
+        _train_with({"learning_rate": float("nan")}),
+        "trainer",
+        id="trainer-learning-rate-nan",
+    ),
+    pytest.param(
+        _train_with({"beta": float("inf")}), "trainer", id="trainer-beta-infinity"
+    ),
+    pytest.param(
+        _train_with({"temperature": float("nan")}),
+        "trainer",
+        id="trainer-temperature-nan",
+    ),
+    pytest.param(
+        _model(backend={"type": "http", "model": "m", "temperature": float("nan")}),
+        "pool model #0",
+        id="http-backend-temperature-nan",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "http", "model": "p", "temperature": float("inf")}),
+        "http policy",
+        id="http-policy-temperature-infinity",
+    ),
+    # negative seeds, which numpy's generator refuses
+    pytest.param(_train_with({}, "--seed", "-1"), "trainer", id="train-seed-negative"),
+    pytest.param(_with_params(seed=-1), "run config", id="route-seed-negative"),
+    # an integer literal longer than Python converts
+    pytest.param(
+        _with_bytes(
+            "long_int.json",
+            b'{"pool": {"models": []}, "seed": ' + b"1" * 5000 + b"}",
+            lambda workdir: [
+                "route",
+                "--config", str(workdir / "long_int.json"),
+                "--question", FILM_Q,
+            ],
+        ),
+        "config file {dir}/long_int.json",
+        id="config-integer-over-4300-digits",
+    ),
+    pytest.param(
+        _with_bytes(
+            "long_int.jsonl",
+            b'{"id": ' + b"1" * 5000 + b', "question": "q?", "golden_answers": ["x"]}',
+            _eval_into("long_int.jsonl"),
+        ),
+        "line 1",
+        id="task-integer-over-4300-digits",
+    ),
 ]
 
 
@@ -1302,6 +1376,23 @@ def test_unusable_policy_url_exits_1_with_one_error_line(
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(
         "error: policy: backend returned status 0: Invalid URL 'not-a-url'"
+    )
+
+
+def test_unsendable_policy_key_exits_1_without_showing_it(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("MULTIROUTE_POLICY_URL", "http://127.0.0.1:9/")
+    monkeypatch.setenv("MULTIROUTE_POLICY_KEY", "s3cr3t\nvalue")
+    path = workdir / "http_policy.json"
+    path.write_text(
+        json.dumps({"pool": _pool_mapping(), "policy": {"kind": "http", "model": "p"}})
+    )
+    code = main(["route", "--config", str(path), "--question", FILM_Q])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: policy: backend returned status 0: "
+        "MULTIROUTE_POLICY_KEY is not printable ASCII\n"
     )
 
 

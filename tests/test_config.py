@@ -244,6 +244,20 @@ def test_run_config_file_errors(tmp_path):
         load_run_config(str(array))
 
 
+def test_run_config_requires_a_pool(tmp_path):
+    path = tmp_path / "no_pool.json"
+    path.write_text(json.dumps({"seed": 1}))
+    with pytest.raises(ConfigError, match=r"^run config: missing required key 'pool'$"):
+        load_run_config(str(path))
+
+
+def test_params_policy_requires_a_path(tmp_path):
+    path = _write_run_config(tmp_path, extra={"policy": {"kind": "params"}})
+    run = load_run_config(path)
+    with pytest.raises(ConfigError, match=r"^params policy: 'path' is required$"):
+        policy_factory(run)
+
+
 # ---------------------------------------------------------------------------
 # sections built by the classes that own them
 # ---------------------------------------------------------------------------

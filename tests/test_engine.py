@@ -758,3 +758,12 @@ def test_hostile_endpoint_url_becomes_zero_cost_error_call(monkeypatch, url):
     assert call.output_tokens == 0 and call.cost == 0.0
     assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
     assert episode.verdict.ok
+
+
+def test_unsendable_api_key_stays_out_of_the_call_record(monkeypatch):
+    monkeypatch.setenv("MULTIROUTE_API_KEY", "s3cr3t\nvalue")
+    episode = _episode_at_endpoint(monkeypatch, "http://127.0.0.1:9/")
+    (call,) = episode.calls
+    assert "MULTIROUTE_API_KEY" in call.error
+    assert call.output_tokens == 0 and call.cost == 0.0
+    assert "s3cr3t" not in json.dumps(episode.to_record())

@@ -5,7 +5,8 @@ A ``_``-prefixed name is private to the module that defines it; importing
 one from another package module couples the two on an implementation
 detail.  This test parses every module under ``src/multiroute/`` and fails on
 any such import.  The HTTP clients use the standard library, so ``requests``
-is a test dependency only.
+is a test dependency only.  ``rewards.check_field_types`` alone decides that
+a config number is finite, so no ``__post_init__`` repeats that check.
 """
 
 from __future__ import annotations
@@ -111,3 +112,45 @@ def test_front_ends_leave_requests_unloaded():
         check=True,
     )
     assert result.stdout == "False\n"
+
+
+def finite_checks_in_post_inits(source: str) -> list[str]:
+    """``__post_init__:<line>`` for each place a ``__post_init__`` in
+    ``source`` names ``math.inf`` or ``math.isfinite``, or a bare ``inf`` or
+    ``isfinite``."""
+    names = {"inf", "isfinite"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name == "__post_init__"):
+            continue
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Attribute)
+                and inner.attr in names
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == "math"
+            ) or (isinstance(inner, ast.Name) and inner.id in names):
+                found.append(f"{node.name}:{inner.lineno}")
+    return found
+
+
+def test_checker_finds_finite_checks_in_post_init():
+    source = (
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        if not 0 < self.x < math.inf:\n"
+        "            pass\n"
+        "        if not isfinite(self.y):\n"
+        "            pass\n"
+        "    def other(self):\n"
+        "        return math.isfinite(self.x)\n"
+    )
+    assert finite_checks_in_post_inits(source) == ["__post_init__:3", "__post_init__:5"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_only_check_field_types_rules_numbers_finite(path):
+    """``rewards.check_field_types`` is the one place that rejects NaN and
+    the infinities in a config number, so no ``__post_init__`` repeats it."""
+    source = path.read_text(encoding="utf-8")
+    assert finite_checks_in_post_inits(source) == []

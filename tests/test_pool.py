@@ -268,6 +268,22 @@ def test_dispatch_truncates_to_response_budget():
     assert record.cost == pytest.approx(0.1 * 600)
 
 
+class _ReportingBackend:
+    """Replies with four words, and reports 99 tokens and a 12.5 ms latency."""
+
+    def complete(self, prompt, max_tokens, timeout_ms):
+        return "four words right here", 99, 12.5
+
+
+def test_dispatch_bills_reported_tokens_within_the_cap():
+    pool = RoutingPool([ModelDescriptor("r", "R", 7, 0.5, "d", _ReportingBackend())])
+    record = dispatch(pool, "r", "q", max_api_response_tokens=600)
+    assert record.response_text == "four words right here"
+    assert record.output_tokens == 99
+    assert record.cost == pytest.approx(99 * 0.5)
+    assert record.latency_ms == 12.5
+
+
 def test_dispatch_validates_inputs(case_pool):
     with pytest.raises(UnknownModelError):
         dispatch(case_pool, "not-registered", "q")
@@ -553,3 +569,28 @@ def test_chat_request_wire_format(monkeypatch, url_env, key_env, call, payload, 
     assert request["body"] == json.dumps(payload, allow_nan=False).encode()
     assert request["headers"]["content-type"] == "application/json"
     assert request["headers"].get("authorization") == ("Bearer k" if keyed else None)
+
+
+# API keys no header value can carry; each holds the marker ``s3cr3t``.
+UNSENDABLE_KEYS = [
+    pytest.param("s3cr3t\nvalue", id="newline"),
+    pytest.param("s3cr3t\tvalue", id="tab"),
+    pytest.param("s3cr3t\x7fvalue", id="delete"),
+    pytest.param("s3cr3t\u00e9", id="non-ascii"),
+]
+
+
+@pytest.mark.parametrize("key", UNSENDABLE_KEYS)
+def test_unsendable_api_key_is_named_but_never_shown(monkeypatch, key):
+    connections = []
+    monkeypatch.setattr(
+        http.client.HTTPConnection, "connect", lambda self: connections.append(self)
+    )
+    monkeypatch.setenv("MULTIROUTE_API_URL", "http://127.0.0.1:9/")
+    monkeypatch.setenv("MULTIROUTE_API_KEY", key)
+    with pytest.raises(BackendError) as exc_info:
+        HttpBackend(model="remote").complete("p", 600)
+    assert exc_info.value.status == 0
+    assert "MULTIROUTE_API_KEY" in str(exc_info.value)
+    assert "s3cr3t" not in str(exc_info.value)
+    assert connections == []

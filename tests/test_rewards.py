@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from multiroute.protocol import DEFAULT_LEXICON, validate_format
 from multiroute.rewards import (
     CostWindow,
     RewardConfig,
+    check_field_types,
     compose_breakdown,
     cost_reward,
     episode_cost_raw,
@@ -347,3 +349,70 @@ def test_episode_cost_raw_sums_calls():
 
     assert episode_cost_raw([_Call(2.0), _Call(3.5)]) == pytest.approx(5.5)
     assert episode_cost_raw([]) == 0.0
+
+
+def test_cost_window_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        CostWindow(0)
+
+
+# ---------------------------------------------------------------------------
+# the one type rule for config values
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Fields:
+    count: int = 1
+    rate: float = 0.5
+    costs: tuple[float, ...] = ()
+    label: str = "x"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, np.float64("nan")],
+    ids=["nan", "inf", "minus-inf", "numpy-nan"],
+)
+def test_check_field_types_rejects_a_number_that_is_not_finite(value):
+    with pytest.raises(ValueError, match=f"^rate must be a finite number, got {value}$"):
+        check_field_types(_Fields(rate=value))
+    with pytest.raises(ValueError, match=r"^costs\[1\] must be a finite number"):
+        check_field_types(_Fields(costs=[0.0, value]))
+
+
+def test_check_field_types_stores_numbers_as_floats():
+    fields = _Fields(rate=2, costs=[1, np.float64(2.5)])
+    check_field_types(fields)
+    assert fields.rate == 2.0 and type(fields.rate) is float
+    assert fields.costs == (1.0, 2.5)
+    assert all(type(cost) is float for cost in fields.costs)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"count": 1.0}, "count must be an integer, got 1.0"),
+        ({"count": True}, "count must be an integer, got True"),
+        ({"rate": True}, "rate must be a number, got True"),
+        ({"rate": "0.5"}, "rate must be a number, got '0.5'"),
+        ({"costs": 5}, "costs must be a list, got 5"),
+        ({"costs": "12"}, "costs must be a list, got '12'"),
+        ({"costs": [1.0, False]}, "costs[1] must be a number, got False"),
+        ({"label": 5}, "label must be a string, got 5"),
+    ],
+    ids=[
+        "int-float", "int-bool", "float-bool", "float-string",
+        "tuple-int", "tuple-string", "tuple-bool-entry", "str-int",
+    ],
+)
+def test_check_field_types_names_the_field_of_the_wrong_type(changes, message):
+    with pytest.raises(TypeError) as exc_info:
+        check_field_types(_Fields(**changes))
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("name", ["epsilon", "alpha", "percentile_lo"])
+def test_reward_config_rejects_nan_with_the_shared_rule(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got nan$"):
+        RewardConfig(**{name: math.nan})
