@@ -101,7 +101,7 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     if args.params_out:
         with open(args.params_out, "w", encoding="utf-8") as handle:
             handle.write(result.params.to_json() + "\n")
-    final_reward = result.mean_reward[-1] if result.mean_reward else float("nan")
+    final_reward = result.mean_reward[-1] if result.mean_reward else None
     print(
         json.dumps(
             {

@@ -68,11 +68,11 @@ def _build_backend(section, context: str, base_dir: str):
         kb_path = fields.pop("kb_path", None)
         if kb_path:
             try:
-                kb_file = os.path.join(base_dir, kb_path)
+                kb_file = config_path(base_dir, kb_path, f"{context}: kb_path")
                 kb = load_knowledge_base(kb_file)
             except LineError as exc:
                 raise ConfigError(f"{context}: {kb_file}: {exc}") from None
-            except (OSError, TypeError, ValueError) as exc:
+            except (OSError, TypeError) as exc:
                 raise ConfigError(f"{context}: {exc}")
         else:
             kb = {
@@ -84,6 +84,20 @@ def _build_backend(section, context: str, base_dir: str):
     if kind == "http":
         return build_section(HttpBackend, fields, context)
     raise ConfigError(f"{context}: unknown backend type {reprlib.repr(kind)}")
+
+
+def config_path(base_dir: str, path: str, what: str) -> str:
+    """``path`` joined to ``base_dir``; ``what`` names it in a ConfigError.
+
+    Raises:
+        ConfigError: the path holds a NUL byte, which no file name can hold;
+            the error shows the path through ``reprlib.repr``.
+        TypeError: ``path`` is not a string.
+    """
+    path = os.path.join(base_dir, path)
+    if "\0" in path:
+        raise ConfigError(f"{what} {reprlib.repr(path)}: a path cannot hold a NUL byte")
+    return path
 
 
 def read_json(path: str, what: str):
@@ -100,7 +114,7 @@ def read_json(path: str, what: str):
 def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
     """Build a RoutingPool from a config path or an inline mapping."""
     if isinstance(source, str):
-        path = os.path.join(base_dir, source)
+        path = config_path(base_dir, source, "pool config")
         base_dir = os.path.dirname(path) or "."
         source = read_json(path, "pool config")
     models = _object(source, "pool config").get("models")

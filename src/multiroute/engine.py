@@ -10,6 +10,7 @@ policy never emits itself (they are excluded from the training loss via
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -85,6 +86,9 @@ PROMPT_TEMPLATE = (
     "{answer_close}, without additional explanation or illustration.\n"
     "Question: {question}\n"
 )
+# Everything before the question depends only on the lexicon and the
+# candidates, so ``_prompt_head`` renders it once for each of them.
+_PROMPT_HEAD, _PROMPT_TAIL = PROMPT_TEMPLATE.split("{question}")
 
 
 class EmptyPoolError(ValueError):
@@ -170,12 +174,19 @@ def build_prompt(
     """Render the routing prompt with candidate descriptions in pool order."""
     if len(pool) == 0:
         raise EmptyPoolError("cannot build a routing prompt over an empty pool")
-    candidates = "\n".join(
-        f"{d.display_name}: {d.descriptor_text}" for d in pool
-    )
-    return PROMPT_TEMPLATE.format(
-        **vars(lexicon), candidates_intro="\n" + candidates, question=question
-    )
+    candidates = tuple((d.display_name, d.descriptor_text) for d in pool)
+    return _prompt_head(lexicon, candidates) + question + _PROMPT_TAIL
+
+
+@functools.lru_cache(maxsize=64)
+def _prompt_head(
+    lexicon: TagLexicon, candidates: tuple[tuple[str, str], ...]
+) -> str:
+    """The prompt up to the question for one lexicon and one list of
+    (display name, descriptor text) pairs, cached by value, so a hot-added
+    model or an edited descriptor shows up at the next call."""
+    lines = "\n".join(f"{name}: {text}" for name, text in candidates)
+    return _PROMPT_HEAD.format(**vars(lexicon), candidates_intro="\n" + lines)
 
 
 def _directive_error_notice(error: DirectiveError) -> str:

@@ -8,14 +8,13 @@ section, for the CLI and the HTTP service alike.
 
 from __future__ import annotations
 
-import os
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_section, read_json
+from .config import ConfigError, RunConfig, build_section, config_path, read_json
 from .engine import PolicyBackend
 from .pool import ChatEndpoint
 from .protocol import DEFAULT_LEXICON, TagLexicon
@@ -116,7 +115,7 @@ def policy_factory(run: RunConfig):
     def path_of(key: str) -> str:
         if not isinstance(section[key], str):
             raise ConfigError(f"{kind} policy: {key} must be a string")
-        return os.path.join(run.base_dir, section[key])
+        return config_path(run.base_dir, section[key], f"{kind} policy")
 
     if kind == "scripted":
         script = section.get("script")

@@ -197,33 +197,30 @@ def parse_trajectory(raw: str, lexicon: TagLexicon = DEFAULT_LEXICON) -> Traject
     pattern, opens, _ = _scanner(lexicon)
     blocks: list[Block] = []
     inter: list[str] = []
-    pos = 0
     last_end = 0
-    while True:
-        match = pattern.search(raw, pos)
-        if match is None:
-            break
+    opened = None  # the open tag of the block being read
+    for match in pattern.finditer(raw):
         lexeme = match.group()
-        if lexeme not in opens:
-            raise ParseFailure(match.start(), "an opening tag", lexeme)
-        close_lex, kind = opens[lexeme]
-        interior_start = match.end()
-        inner = pattern.search(raw, interior_start)
-        if inner is None:
-            raise ParseFailure(len(raw), close_lex, "end of input")
-        if inner.group() != close_lex:
-            raise ParseFailure(inner.start(), close_lex, inner.group())
-        text = raw[interior_start : inner.start()]
-        end = inner.end()
-        block = Block(kind, text, (match.start(), end))
+        if opened is None:
+            if lexeme not in opens:
+                raise ParseFailure(match.start(), "an opening tag", lexeme)
+            opened = match
+            close_lex, kind = opens[lexeme]
+            continue
+        if lexeme != close_lex:
+            raise ParseFailure(match.start(), close_lex, lexeme)
+        text = raw[opened.end() : match.start()]
+        block = Block(kind, text, (opened.start(), match.end()))
         if kind is BlockKind.ROUTE and ":" in text:
             name, _, query = text.partition(":")
             block.model_name = name.strip()
             block.sub_query = query.strip()
-        inter.append(raw[last_end : match.start()])
+        inter.append(raw[last_end : opened.start()])
         blocks.append(block)
-        last_end = end
-        pos = end
+        last_end = match.end()
+        opened = None
+    if opened is not None:
+        raise ParseFailure(len(raw), close_lex, "end of input")
     inter.append(raw[last_end:])
     return Trajectory(raw=raw, blocks=blocks, inter_block_text=inter)
 

@@ -9,6 +9,7 @@ raw episode cost against a sliding window of recent episodes via the 5th and
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import re
@@ -23,6 +24,31 @@ from .protocol import FormatVerdict
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+
+# The longest text ``memoize_short_text`` keeps.  A longer one is computed
+# afresh on each call, so a server fed long questions holds at most
+# ``maxsize`` texts of this length in each memo.
+MEMO_MAX_CHARS = 1024
+
+
+def memoize_short_text(maxsize: int):
+    """Decorate ``function(text, *keys)`` with ``functools.lru_cache(maxsize)``
+    for texts of at most ``MEMO_MAX_CHARS`` characters.  The result is shared
+    by every caller, so it must be immutable."""
+
+    def decorate(function):
+        cached = functools.lru_cache(maxsize=maxsize)(function)
+
+        @functools.wraps(function)
+        def call(text: str, *keys):
+            if len(text) > MEMO_MAX_CHARS:
+                return function(text, *keys)
+            return cached(text, *keys)
+
+        call.cache_info = cached.cache_info
+        return call
+
+    return decorate
 
 
 def check_field_types(config) -> None:
@@ -56,9 +82,13 @@ def check_field_types(config) -> None:
 def _finite(name: str, value) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value}")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+        shown = value
+    except OverflowError:  # an integer too large for a float
+        shown = reprlib.repr(value)
+    raise ValueError(f"{name} must be a finite number, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +191,7 @@ def format_reward(verdict: FormatVerdict) -> int:
     return 0 if verdict.ok else -1
 
 
+@memoize_short_text(maxsize=1024)
 def normalize_answer(text: str) -> str:
     """Lowercase, drop articles, strip punctuation, collapse whitespace."""
     text = text.lower()

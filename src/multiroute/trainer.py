@@ -30,7 +30,13 @@ from .engine import (
 )
 from .pool import RoutingPool
 from .protocol import BlockKind, TagLexicon
-from .rewards import CostWindow, RewardConfig, check_field_types, cost_reward
+from .rewards import (
+    CostWindow,
+    RewardConfig,
+    check_field_types,
+    cost_reward,
+    memoize_short_text,
+)
 
 ANSWER_ACTION = "answer"
 ABSTAIN_TEXT = "unknown"
@@ -148,8 +154,9 @@ def featurize(
     The last ``max_steps + 1`` slots encode the current round (clamped), the
     rest accumulate crc32-hashed lowercase token counts.
     """
-    features = _word_counts(question, feature_dim, max_steps)
-    return _set_round(features, step_index, max_steps)
+    features = _word_counts(question, feature_dim, max_steps).copy()
+    features[feature_dim - (max_steps + 1) + min(step_index, max_steps)] = 1.0
+    return features
 
 
 def check_feature_dim(feature_dim: int, max_steps: int) -> None:
@@ -162,19 +169,16 @@ def check_feature_dim(feature_dim: int, max_steps: int) -> None:
         )
 
 
+@memoize_short_text(maxsize=256)
 def _word_counts(question: str, feature_dim: int, max_steps: int) -> np.ndarray:
-    """`featurize`'s vector with every round slot still zero."""
+    """`featurize`'s vector with every round slot still zero, read-only
+    because the memo hands the same array to every caller."""
     check_feature_dim(feature_dim, max_steps)
     word_dim = feature_dim - (max_steps + 1)
     features = np.zeros(feature_dim, dtype=float)
     for token in question.lower().split():
         features[zlib.crc32(token.encode()) % word_dim] += 1.0
-    return features
-
-
-def _set_round(features: np.ndarray, step_index: int, max_steps: int) -> np.ndarray:
-    """Set the round one-hot slot of ``features`` in place and return it."""
-    features[features.size - (max_steps + 1) + min(step_index, max_steps)] = 1.0
+    features.setflags(write=False)
     return features
 
 
@@ -248,8 +252,6 @@ class LearnedRoutingPolicy(PolicyBackend):
         self.decisions: list[DecisionStep] = []
         self._prev_context_len: Optional[int] = None
         self._facts: list[str] = []
-        # The question's word counts, hashed on the first decision.
-        self._words: Optional[np.ndarray] = None
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
@@ -263,12 +265,8 @@ class LearnedRoutingPolicy(PolicyBackend):
         if answer_only:
             return self._emit_answer()
 
-        if self._words is None:
-            self._words = _word_counts(
-                self.question, self.params.feature_dim, self.max_steps
-            )
-        features = _set_round(
-            self._words.copy(), len(self.decisions), self.max_steps
+        features = featurize(
+            self.question, len(self.decisions), self.params.feature_dim, self.max_steps
         )
         index, probs = sample_action(self.params, features, self.rng)
         self.decisions.append(DecisionStep(features, index, probs))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -310,6 +311,24 @@ def test_train_writes_params_and_metrics(train_workdir, capsys):
     ]
     assert [r["step"] for r in records] == [0, 1]
     assert all("mean_cost" in r and "entropy" in r for r in records)
+
+
+def test_train_with_no_steps_prints_null_reward(train_workdir, capsys):
+    code = main(
+        [
+            "train",
+            "--config", str(train_workdir / "train.json"),
+            "--tasks", str(train_workdir / "tasks.jsonl"),
+            "--steps", "0",
+        ]
+    )
+    assert code == 0
+
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    stdout = json.loads(capsys.readouterr().out, parse_constant=not_json)
+    assert stdout == {"final_mean_reward": None, "steps": 0}
 
 
 def test_train_same_seed_reproduces_params_bytes(train_workdir, capsys):
@@ -1195,6 +1214,38 @@ BAD_INPUTS = [
         "line 1",
         id="task-integer-over-4300-digits",
     ),
+    # a path holding a NUL byte, which no file name can hold
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script_path": "/a\u0000b"}),
+        "scripted policy '/a\\x00b'",
+        id="script-path-nul-byte",
+    ),
+    pytest.param(
+        _top_level(pool="/po\u0000ol.json"),
+        "pool config '/po\\x00ol.json'",
+        id="pool-path-nul-byte",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": "/p\u0000q"}),
+        "params policy '/p\\x00q'",
+        id="params-path-nul-byte",
+    ),
+    pytest.param(
+        _sim_backend(kb_path="/k\u0000b.jsonl"),
+        "pool model #0: kb_path '/k\\x00b.jsonl'",
+        id="kb-path-nul-byte",
+    ),
+    # an integer too large for a float in a number field
+    pytest.param(
+        _top_level(reward={"epsilon": int("1" * 400)}),
+        "reward",
+        id="reward-epsilon-oversized-int",
+    ),
+    pytest.param(
+        _top_level(eval_warmup_costs=[1.0, int("1" * 400)]),
+        "run config",
+        id="warmup-cost-oversized-int",
+    ),
 ]
 
 
@@ -1208,6 +1259,29 @@ def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: {context.format(dir=workdir)}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, context", [p for p in BAD_INPUTS if p.id.endswith("-nul-byte")]
+)
+def test_nul_byte_in_a_path_is_shown_escaped(workdir, capsys, argv, context):
+    assert main(argv(workdir)) == 2
+    err = capsys.readouterr().err
+    assert "\x00" not in err
+    assert err == f"error: {context}: a path cannot hold a NUL byte\n"
+
+
+@pytest.mark.parametrize(
+    "argv, context", [p for p in BAD_INPUTS if p.id.endswith("-oversized-int")]
+)
+def test_oversized_integer_names_its_field(workdir, capsys, argv, context):
+    assert main(argv(workdir)) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"error: {context}: (epsilon|eval_warmup_costs\[1\]) must be a finite "
+        r"number, got 1{10,}\.\.\.1{10,}\n",
+        err,
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import multiroute.engine as engine
 import multiroute.protocol as protocol
 from multiroute.engine import (
     NO_ASSISTANCE_TEXT,
+    PROMPT_TEMPLATE,
     EmptyPoolError,
     EngineConfig,
     build_prompt,
@@ -83,6 +84,28 @@ def test_build_prompt_uses_lexicon_tags(case_pool):
 def test_build_prompt_rejects_empty_pool():
     with pytest.raises(EmptyPoolError):
         build_prompt("Q", RoutingPool())
+
+
+def test_build_prompt_shows_an_edited_descriptor_at_once(case_pool):
+    descriptor = case_pool.descriptors[0]
+    assert descriptor.descriptor_text in build_prompt("Q", case_pool)
+    descriptor.descriptor_text = "an edited description"
+    prompt = build_prompt("Q", case_pool)
+    assert f"{descriptor.display_name}: an edited description\n" in prompt
+
+
+@pytest.mark.parametrize(
+    "question", ["{}", "{question}", "a {think_open} b }{", "{0} {candidates_intro}"]
+)
+def test_build_prompt_keeps_a_question_with_braces_verbatim(case_pool, question):
+    # The template rendered whole is the reference the cached head must equal.
+    candidates = "\n".join(f"{d.display_name}: {d.descriptor_text}" for d in case_pool)
+    reference = PROMPT_TEMPLATE.format(
+        **vars(DEFAULT_LEXICON), candidates_intro="\n" + candidates, question=question
+    )
+    prompt = build_prompt(question, case_pool)
+    assert prompt == reference
+    assert prompt.endswith(f"Question: {question}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ one from another package module couples the two on an implementation
 detail.  This test parses every module under ``src/multiroute/`` and fails on
 any such import.  The HTTP clients use the standard library, so ``requests``
 is a test dependency only.  ``rewards.check_field_types`` alone decides that
-a config number is finite, so no ``__post_init__`` repeats that check.
+a config number is finite, so no ``__post_init__`` repeats that check.  The
+server runs for a long time, so no memo of a function with parameters is
+unbounded.
 """
 
 from __future__ import annotations
@@ -154,3 +156,76 @@ def test_only_check_field_types_rules_numbers_finite(path):
     the infinities in a config number, so no ``__post_init__`` repeats it."""
     source = path.read_text(encoding="utf-8")
     assert finite_checks_in_post_inits(source) == []
+
+
+# Decorators whose ``maxsize`` must be an integer constant.
+BOUNDED_MEMOS = {"lru_cache", "memoize_short_text"}
+
+
+def unbounded_memos(source: str, filename: str = "<source>") -> list[str]:
+    """``<file>:<line>: <function>`` for each function with parameters that is
+    decorated with ``functools.cache``, or with a memo from ``BOUNDED_MEMOS``
+    whose ``maxsize`` is ``None`` or not a constant."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if not any(
+            (args.posonlyargs, args.args, args.kwonlyargs, args.vararg, args.kwarg)
+        ):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = getattr(target, "attr", getattr(target, "id", ""))
+            if name == "cache":
+                unbounded = True
+            elif name in BOUNDED_MEMOS and call is not None:
+                sizes = call.args[:1] + [
+                    k.value for k in call.keywords if k.arg == "maxsize"
+                ]
+                unbounded = not (
+                    sizes
+                    and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int
+                )
+            else:
+                unbounded = False
+            if unbounded:
+                found.append(f"{filename}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_checker_finds_unbounded_memos():
+    source = (
+        "@functools.cache\n"
+        "def a(x): pass\n"
+        "@cache\n"
+        "def b(*xs): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def c(x): pass\n"
+        "@lru_cache(None)\n"
+        "def d(x): pass\n"
+        "@lru_cache(maxsize=SIZE)\n"
+        "def e(x): pass\n"
+        "@memoize_short_text(maxsize=None)\n"
+        "def f(x): pass\n"
+        "@functools.cache\n"
+        "def no_parameters(): pass\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def bounded(x): pass\n"
+        "@lru_cache\n"
+        "def default_size(x): pass\n"
+        "@memoize_short_text(256)\n"
+        "def short_texts(x): pass\n"
+    )
+    assert unbounded_memos(source) == [
+        f"<source>:{line}: {name}"
+        for line, name in [(2, "a"), (4, "b"), (6, "c"), (8, "d"), (10, "e"), (12, "f")]
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_memos_of_functions_with_parameters_are_bounded(path):
+    assert unbounded_memos(path.read_text(encoding="utf-8"), path.name) == []

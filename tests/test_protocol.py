@@ -104,6 +104,11 @@ def test_parse_empty_interior_allowed():
         ("<think>a<answer>b</answer>", 8, "</think>", "<answer>"),
         ("<think>never closed", 19, "</think>", "end of input"),
         ("ok so far<information>x</answer>", 23, "</information>", "</answer>"),
+        # the same three failures after a block that parsed
+        ("<think>a</think></answer>", 16, "an opening tag", "</answer>"),
+        ("<think>a</think><answer>b", 25, "</answer>", "end of input"),
+        ("<think>a</think><answer><think>", 24, "</answer>", "<think>"),
+        ("<info>x</information>", 7, "</info>", "</information>"),
     ],
 )
 def test_parse_failures_report_position(raw, offset, expected, found):

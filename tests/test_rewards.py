@@ -21,6 +21,7 @@ from multiroute.rewards import (
     exact_match,
     f1_score,
     format_reward,
+    MEMO_MAX_CHARS,
     normalize_answer,
     total_reward,
 )
@@ -46,6 +47,17 @@ from multiroute.rewards import (
 )
 def test_normalize_answer(raw, want):
     assert normalize_answer(raw) == want
+
+
+def test_normalize_answer_memoizes_only_short_texts():
+    short, long = "The Short One.", "The " + "x" * MEMO_MAX_CHARS
+    normalize_answer(short)
+    before = normalize_answer.cache_info()
+    assert normalize_answer(short) == "short one"
+    assert normalize_answer.cache_info().hits == before.hits + 1
+    before = normalize_answer.cache_info()
+    assert normalize_answer(long) == normalize_answer(long) == "x" * MEMO_MAX_CHARS
+    assert normalize_answer.cache_info() == before
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +391,15 @@ def test_check_field_types_rejects_a_number_that_is_not_finite(value):
         check_field_types(_Fields(rate=value))
     with pytest.raises(ValueError, match=r"^costs\[1\] must be a finite number"):
         check_field_types(_Fields(costs=[0.0, value]))
+
+
+def test_check_field_types_names_an_integer_too_large_for_a_float():
+    huge = int("1" * 400)
+    shown = r"must be a finite number, got 1+\.\.\.1+$"
+    with pytest.raises(ValueError, match=f"^rate {shown}"):
+        check_field_types(_Fields(rate=huge))
+    with pytest.raises(ValueError, match=rf"^costs\[1\] {shown}"):
+        check_field_types(_Fields(costs=[0.0, huge]))
 
 
 def test_check_field_types_stores_numbers_as_floats():

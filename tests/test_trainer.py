@@ -616,6 +616,26 @@ def test_adapter_features_equal_featurize_each_round():
         )
 
 
+def test_featurize_returns_a_writable_array_of_its_own():
+    question = "what is the colour of the wheel?"
+    first = featurize(question, 1, 32)
+    want = first.copy()
+    assert first.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(featurize(question, 1, 32), want)
+    pool = _two_model_pool()
+    policy = LearnedRoutingPolicy(
+        PolicyParams.initial(32, pool),
+        question,
+        pool,
+        np.random.default_rng(0),
+        DEFAULT_LEXICON,
+    )
+    policy.generate("P", ["</search>", "</answer>"], 128)
+    assert np.array_equal(policy.decisions[0].features, featurize(question, 0, 32))
+    assert not np.array_equal(policy.decisions[0].features, first)
+
+
 def test_adapter_checks_feature_dim_on_its_first_decision():
     pool = _two_model_pool()
     params = PolicyParams.initial(5, pool)
