@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from multiroute import (
     DEFAULT_LEXICON,
+    BlockKind,
     ModelDescriptor,
     RoutingPool,
     SimulatedBackend,
     SimulatedProfile,
     extract_answer,
     loss_mask,
+    parse_route_directive,
     parse_trajectory,
     validate_format,
 )
@@ -72,11 +74,9 @@ def main() -> None:
         start, end = block.span
         preview = block.text if len(block.text) <= 48 else block.text[:45] + "..."
         print(f"  [{start:3d},{end:3d})  {block.kind.name:<6} {preview!r}")
-        if block.kind.name == "ROUTE":
-            print(
-                f"        directive -> model={block.model_name!r} "
-                f"sub_query={block.sub_query!r}"
-            )
+        if block.kind is BlockKind.ROUTE:
+            model_id, sub_query = parse_route_directive(block.text, pool)
+            print(f"        directive -> model={model_id!r} sub_query={sub_query!r}")
 
     print("\nfinal answer:", extract_answer(trajectory))
     print("loss-mask spans (info blocks are env-injected, not policy output):")

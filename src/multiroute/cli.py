@@ -160,8 +160,12 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_serve(args: argparse.Namespace, run: RunConfig) -> int:
     host, _, port = args.bind.rpartition(":")
-    if not host or not port.isdigit():
-        raise CliError(f"--bind must be host:port, got {reprlib.repr(args.bind)}")
+    digits = port.isascii() and port.isdigit() and len(port) <= 5
+    if not host or not digits or int(port) > 65535:
+        raise CliError(
+            "serve: --bind must be host:port with a port from 0 to 65535, "
+            f"got {reprlib.repr(args.bind)}"
+        )
     if args.max_inflight < 0:
         raise CliError(f"serve: --max-inflight must be >= 0, got {args.max_inflight}")
     serve_forever(run, host, int(port), max_inflight=args.max_inflight)

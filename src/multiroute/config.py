@@ -66,13 +66,15 @@ def _build_backend(section, context: str, base_dir: str):
     if kind == "sim":
         kb = fields.pop("kb", {})
         kb_path = fields.pop("kb_path", None)
+        if kb_path is not None and not isinstance(kb_path, str):
+            raise ConfigError(f"{context}: kb_path must be a string")
         if kb_path:
             try:
                 kb_file = config_path(base_dir, kb_path, f"{context}: kb_path")
                 kb = load_knowledge_base(kb_file)
             except LineError as exc:
                 raise ConfigError(f"{context}: {kb_file}: {exc}") from None
-            except (OSError, TypeError) as exc:
+            except OSError as exc:
                 raise ConfigError(f"{context}: {exc}")
         else:
             kb = {

@@ -65,11 +65,6 @@ class TagLexicon:
                         "scanning would be ambiguous"
                     )
 
-    def primary_pairs_flat(self) -> tuple[str, ...]:
-        """The primary lexemes, each open before its close, in kind order."""
-        primary = self.open_close_pairs()[: len(BlockKind)]
-        return tuple(lex for o, c, _ in primary for lex in (o, c))
-
     def open_close_pairs(self) -> tuple[tuple[str, str, BlockKind], ...]:
         """All accepted (open, close, kind) triples, one primary pair per kind
         in ``BlockKind`` order, then the info aliases: the one lexeme list."""
@@ -117,33 +112,22 @@ class DirectiveError(ValueError):
 class Block:
     """One tagged block.  ``span`` covers the tags; ``text`` is the interior.
 
-    Offsets are code-point indices into the raw string.  For route blocks,
-    ``model_name`` / ``sub_query`` hold the trimmed halves around the first
-    colon of the interior (empty when there is no colon); resolution against
-    a pool is a separate step (`parse_route_directive`).
+    Offsets are code-point indices into the raw string.  A route block's
+    interior is read as a directive by `parse_route_directive`.
     """
 
     kind: BlockKind
     text: str
     span: tuple[int, int]
-    model_name: str = ""
-    sub_query: str = ""
 
 
 @dataclass
 class Trajectory:
+    """The parsed blocks of ``raw``; the text between them is ``raw`` outside
+    the spans."""
+
     raw: str
     blocks: list[Block]
-    inter_block_text: list[str] = field(default_factory=list)
-
-    def reconstruct(self) -> str:
-        """Reassemble the raw text from blocks and surrounding text."""
-        parts = [self.inter_block_text[0]]
-        for block, trailing in zip(self.blocks, self.inter_block_text[1:]):
-            start, end = block.span
-            parts.append(self.raw[start:end])
-            parts.append(trailing)
-        return "".join(parts)
 
 
 class FormatRule(Enum):
@@ -177,13 +161,13 @@ class FormatVerdict:
 
 @functools.lru_cache(maxsize=64)
 def _scanner(lexicon: TagLexicon):
-    """Build (regex, open-table, close-set) for one lexicon, cached."""
+    """Build (regex, open-table) for one lexicon, cached."""
     opens = {o: (c, kind) for o, c, kind in lexicon.open_close_pairs()}
     closes = {c for _, c, _ in lexicon.open_close_pairs()}
     alternation = "|".join(
         re.escape(lex) for lex in sorted(set(opens) | closes, key=len, reverse=True)
     )
-    return re.compile(alternation), opens, closes
+    return re.compile(alternation), opens
 
 
 def parse_trajectory(raw: str, lexicon: TagLexicon = DEFAULT_LEXICON) -> Trajectory:
@@ -194,10 +178,8 @@ def parse_trajectory(raw: str, lexicon: TagLexicon = DEFAULT_LEXICON) -> Traject
             other than the matching close inside a block (nesting), or end of
             input before an open block is closed.
     """
-    pattern, opens, _ = _scanner(lexicon)
+    pattern, opens = _scanner(lexicon)
     blocks: list[Block] = []
-    inter: list[str] = []
-    last_end = 0
     opened = None  # the open tag of the block being read
     for match in pattern.finditer(raw):
         lexeme = match.group()
@@ -210,19 +192,11 @@ def parse_trajectory(raw: str, lexicon: TagLexicon = DEFAULT_LEXICON) -> Traject
         if lexeme != close_lex:
             raise ParseFailure(match.start(), close_lex, lexeme)
         text = raw[opened.end() : match.start()]
-        block = Block(kind, text, (opened.start(), match.end()))
-        if kind is BlockKind.ROUTE and ":" in text:
-            name, _, query = text.partition(":")
-            block.model_name = name.strip()
-            block.sub_query = query.strip()
-        inter.append(raw[last_end : opened.start()])
-        blocks.append(block)
-        last_end = match.end()
+        blocks.append(Block(kind, text, (opened.start(), match.end())))
         opened = None
     if opened is not None:
         raise ParseFailure(len(raw), close_lex, "end of input")
-    inter.append(raw[last_end:])
-    return Trajectory(raw=raw, blocks=blocks, inter_block_text=inter)
+    return Trajectory(raw=raw, blocks=blocks)
 
 
 def parse_route_directive(text: str, pool: "RoutingPool") -> tuple[str, str]:

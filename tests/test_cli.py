@@ -640,7 +640,11 @@ def _sim_backend(**values):
     return _route_with(lambda c: c["pool"]["models"][0]["backend"].update(values))
 
 
-BAD_TIMEOUTS = (("zero", 0), ("negative", -5), ("nan", float("nan")))
+BAD_TIMEOUTS = (
+    ("zero", 0, "timeout_ms must be positive"),
+    ("negative", -5, "timeout_ms must be positive"),
+    ("nan", float("nan"), "timeout_ms must be a finite number"),
+)
 
 
 def _top_level(**values):
@@ -782,6 +786,13 @@ def _train_with(trainer, *flags):
     )
 
 
+def _serve_bind(bind):
+    """argv for `serve` over the route config with ``--bind bind``."""
+    return lambda workdir: [
+        "serve", "--config", str(workdir / "route.json"), "--bind", bind
+    ]
+
+
 # One reply of one token at this price bills 1e308, which is finite, but a
 # logged reply of two tokens re-prices to infinity.
 ONE_TOKEN_ENGINE = {"max_api_response_tokens": 1, "max_routing_steps": 1}
@@ -792,74 +803,106 @@ TWO_TOKEN_REPLY = (
 
 BAD_INPUTS = [
     # run-config values
-    pytest.param(_sim_backend(accuracy=2.0), "pool model #0", id="sim-accuracy"),
-    pytest.param(_sim_backend(verbosity="many"), "pool model #0", id="sim-verbosity"),
+    pytest.param(
+        _sim_backend(accuracy=2.0),
+        "pool model #0",
+        "accuracy must be in [0, 1]",
+        id="sim-accuracy",
+    ),
+    pytest.param(
+        _sim_backend(verbosity="many"),
+        "pool model #0",
+        "verbosity must be an integer",
+        id="sim-verbosity",
+    ),
     pytest.param(
         _route_with(lambda c: c["pool"]["models"].append(5)),
         "pool model #2",
+        "int is not a JSON object",
         id="model-entry-not-object",
     ),
     pytest.param(
-        _top_level(eval_warmup_costs=[-1.0]), "run config", id="warmup-cost-negative"
+        _top_level(eval_warmup_costs=[-1.0]),
+        "run config",
+        "eval_warmup_costs must be numbers >= 0",
+        id="warmup-cost-negative",
     ),
     pytest.param(
-        _top_level(eval_warmup_costs=5), "run config", id="warmup-costs-not-list"
+        _top_level(eval_warmup_costs=5),
+        "run config",
+        "eval_warmup_costs must be a list",
+        id="warmup-costs-not-list",
     ),
-    pytest.param(_top_level(seed="x"), "run config", id="seed-not-int"),
+    pytest.param(
+        _top_level(seed="x"), "run config", "seed must be an integer", id="seed-not-int"
+    ),
     pytest.param(
         _top_level(lexicon={"info_aliases": [["<i>"]]}),
         "lexicon",
+        "info_aliases must be (open, close) pairs",
         id="info-alias-not-pair",
     ),
     # policy files
     pytest.param(
         _top_level(policy={"kind": "params", "path": "not.json"}),
         "params policy {dir}/not.json",
+        "bad params file: JSONDecodeError",
         id="params-file-not-json",
     ),
     pytest.param(
         _top_level(policy={"kind": "params", "path": "no_weights.json"}),
         "params policy {dir}/no_weights.json",
+        "bad params file: KeyError: 'weights'",
         id="params-file-without-weights",
     ),
     pytest.param(
         _top_level(policy={"kind": "scripted", "script_path": "not.json"}),
         "scripted policy {dir}/not.json",
+        "invalid JSON",
         id="script-file-not-json",
     ),
     pytest.param(
         _top_level(policy={"kind": "scripted", "script": [5]}),
         "scripted policy",
+        "script must be a list of strings",
         id="script-entry-not-string",
     ),
     # reward-check rows
     pytest.param(
-        _reward_check_row({"raw": 5}), "{dir}/audit.jsonl:1", id="raw-not-string"
+        _reward_check_row({"raw": 5}),
+        "{dir}/audit.jsonl:1",
+        "raw must be a string",
+        id="raw-not-string",
     ),
     pytest.param(
         _reward_check_row({"raw": "<answer>x</answer>", "golden_answers": "x"}),
         "{dir}/audit.jsonl:1",
+        "golden_answers must be a nonempty string list",
         id="golds-not-list",
     ),
     # paths that are not strings or name a directory
     pytest.param(
         _top_level(policy={"kind": "params", "path": 5}),
         "params policy",
+        "path must be a string",
         id="params-path-not-string",
     ),
     pytest.param(
         _top_level(policy={"kind": "scripted", "script_path": ["s.json"]}),
         "scripted policy",
+        "script_path must be a string",
         id="script-path-not-string",
     ),
     pytest.param(
         _with_dir(_top_level(policy={"kind": "params", "path": "adir"})),
         "{dir}/adir",
+        "Is a directory",
         id="params-path-is-directory",
     ),
     pytest.param(
         _with_dir(_top_level(policy={"kind": "scripted", "script_path": "adir"})),
         "{dir}/adir",
+        "Is a directory",
         id="script-path-is-directory",
     ),
     pytest.param(
@@ -869,74 +912,136 @@ BAD_INPUTS = [
             ]
         ),
         "{dir}/adir",
+        "Is a directory",
         id="config-is-directory",
     ),
-    pytest.param(_with_dir(_eval_into("adir")), "{dir}/adir", id="tasks-is-directory"),
+    pytest.param(
+        _with_dir(_eval_into("adir")),
+        "{dir}/adir",
+        "Is a directory",
+        id="tasks-is-directory",
+    ),
     pytest.param(
         _with_dir(_eval_into("tasks.jsonl", out="adir")),
         "{dir}/adir",
+        "Is a directory",
         id="out-is-directory",
     ),
     # config values of the wrong type
     pytest.param(
-        _top_level(trainer={"batch_size": 2.5}), "trainer", id="batch-size-float"
+        _top_level(trainer={"batch_size": 2.5}),
+        "trainer",
+        "batch_size must be an integer",
+        id="batch-size-float",
     ),
     pytest.param(
-        _top_level(engine={"timeout_ms": "30"}), "engine", id="timeout-string"
+        _top_level(engine={"timeout_ms": "30"}),
+        "engine",
+        "timeout_ms must be a number",
+        id="timeout-string",
     ),
     # timeouts that are not positive and finite
     *[
         pytest.param(
-            _top_level(engine={"timeout_ms": value}), "engine", id=f"timeout-{name}"
+            _top_level(engine={"timeout_ms": value}),
+            "engine",
+            reason,
+            id=f"timeout-{name}",
         )
-        for name, value in BAD_TIMEOUTS
+        for name, value, reason in BAD_TIMEOUTS
     ],
     *[
         pytest.param(
             _top_level(policy={"kind": "http", "model": "m", "timeout_ms": value}),
             "http policy",
+            reason,
             id=f"http-policy-timeout-{name}",
         )
-        for name, value in BAD_TIMEOUTS
+        for name, value, reason in BAD_TIMEOUTS
     ],
-    pytest.param(_top_level(reward={"alpha": True}), "reward", id="alpha-bool"),
+    pytest.param(
+        _top_level(reward={"alpha": True}),
+        "reward",
+        "alpha must be a number",
+        id="alpha-bool",
+    ),
     # a blank question, which POST /route answers with 400
     pytest.param(
         lambda workdir: [
             "route", "--config", str(workdir / "route.json"), "--question", "   "
         ],
         "route",
+        "question must be a nonempty string",
         id="blank-question",
     ),
     # values of the wrong type in models, backends and the http policy
-    pytest.param(_sim_backend(verbosity=2.9), "pool model #0", id="verbosity-float"),
-    pytest.param(_sim_backend(verbosity=True), "pool model #0", id="verbosity-bool"),
-    pytest.param(_sim_backend(accuracy="0.5"), "pool model #0", id="accuracy-string"),
-    pytest.param(_sim_backend(seed="7"), "pool model #0", id="sim-seed-string"),
-    pytest.param(_model(param_count_b=True), "pool model #0", id="params-bool"),
-    pytest.param(_model(cost_per_token=True), "pool model #0", id="price-bool"),
-    pytest.param(_model(id=["a"]), "pool model #0", id="model-id-list"),
     pytest.param(
-        _model(descriptor_text={"x": 1}), "pool model #0", id="descriptor-text-object"
+        _sim_backend(verbosity=2.9),
+        "pool model #0",
+        "verbosity must be an integer",
+        id="verbosity-float",
+    ),
+    pytest.param(
+        _sim_backend(verbosity=True),
+        "pool model #0",
+        "verbosity must be an integer",
+        id="verbosity-bool",
+    ),
+    pytest.param(
+        _sim_backend(accuracy="0.5"),
+        "pool model #0",
+        "accuracy must be a number",
+        id="accuracy-string",
+    ),
+    pytest.param(
+        _sim_backend(seed="7"),
+        "pool model #0",
+        "seed must be an integer",
+        id="sim-seed-string",
+    ),
+    pytest.param(
+        _model(param_count_b=True),
+        "pool model #0",
+        "param_count_b must be a number",
+        id="params-bool",
+    ),
+    pytest.param(
+        _model(cost_per_token=True),
+        "pool model #0",
+        "cost_per_token must be a number",
+        id="price-bool",
+    ),
+    pytest.param(
+        _model(id=["a"]), "pool model #0", "id must be a string", id="model-id-list"
+    ),
+    pytest.param(
+        _model(descriptor_text={"x": 1}),
+        "pool model #0",
+        "descriptor_text must be a string",
+        id="descriptor-text-object",
     ),
     pytest.param(
         _model(backend={"type": "http", "model": None}),
         "pool model #0",
+        "model must be a string",
         id="http-backend-model-null",
     ),
     pytest.param(
         _model(backend={"type": "http", "model": "m", "url_env": None}),
         "pool model #0",
+        "url_env must be a string",
         id="http-backend-url-env-null",
     ),
     pytest.param(
         _top_level(policy={"kind": "http", "model": "p", "temperature": True}),
         "http policy",
+        "temperature must be a number",
         id="http-policy-temperature-bool",
     ),
     pytest.param(
         _top_level(policy={"kind": "http", "model": ["p"]}),
         "http policy",
+        "model must be a string",
         id="http-policy-model-list",
     ),
     # JSON nested too deep for the parser, in each file the CLI reads
@@ -948,16 +1053,19 @@ BAD_INPUTS = [
             ],
         ),
         "config file {dir}/deep.json",
+        "invalid JSON: maximum recursion depth exceeded",
         id="config-nested-too-deep",
     ),
     pytest.param(
         _with_deep_file("deep.jsonl", _eval_into("deep.jsonl")),
         "line 1",
+        "invalid JSON: maximum recursion depth exceeded",
         id="task-row-nested-too-deep",
     ),
     pytest.param(
         _with_deep_file("deep.jsonl", _sim_backend(kb_path="deep.jsonl")),
         "pool model #0",
+        "{dir}/deep.jsonl: line 1: invalid JSON",
         id="kb-row-nested-too-deep",
     ),
     pytest.param(
@@ -970,6 +1078,7 @@ BAD_INPUTS = [
             ],
         ),
         "{dir}/deep.jsonl:1",
+        "invalid JSON: maximum recursion depth exceeded",
         id="reward-check-row-nested-too-deep",
     ),
     pytest.param(
@@ -977,59 +1086,75 @@ BAD_INPUTS = [
             "deep.json", _top_level(policy={"kind": "params", "path": "deep.json"})
         ),
         "params policy {dir}/deep.json",
+        "bad params file: RecursionError",
         id="params-file-nested-too-deep",
     ),
     pytest.param(
-        _top_level(eval_warmup_costs=[True, False]), "run config", id="warmup-cost-bool"
+        _top_level(eval_warmup_costs=[True, False]),
+        "run config",
+        "eval_warmup_costs[0] must be a number",
+        id="warmup-cost-bool",
     ),
     pytest.param(
         _model(backend={"type": "http", "model": ""}),
         "pool model #0",
+        "model is required",
         id="http-backend-model-empty",
     ),
     # params files the policy could not run
     pytest.param(
         _with_params(weights=[[0.0] * 3] * 32),
         "params policy {dir}/params.json",
+        "weights must have shape (64, 3), got (32, 3)",
         id="params-weights-too-few-rows",
     ),
     pytest.param(
         _with_params(actions=["zz", "llama-3.1-8b-instruct", "answer"], seed=2),
         "params policy {dir}/params.json",
+        "actions not in the pool: ['zz']",
         id="params-action-not-in-pool-seed-2",
     ),
     pytest.param(
         _with_params(actions=["zz", "llama-3.1-8b-instruct", "answer"], seed=3),
         "params policy {dir}/params.json",
+        "actions not in the pool: ['zz']",
         id="params-action-not-in-pool-seed-3",
     ),
     pytest.param(
         _with_params(actions=[5, "llama-3.1-8b-instruct", "answer"]),
         "params policy {dir}/params.json",
+        "actions must be strings",
         id="params-action-not-string",
     ),
     pytest.param(
         _with_params(temperature=0),
         "params policy {dir}/params.json",
+        "temperature must be positive",
         id="params-temperature-zero",
     ),
     pytest.param(
         _with_params(weights=[[float("nan")] * 3] * 64),
         "params policy {dir}/params.json",
+        "weights must be finite",
         id="params-weights-nan",
     ),
     pytest.param(
         _with_params(feature_dim=5, weights=[[0.0] * 3] * 5),
         "params policy {dir}/params.json",
+        "feature_dim too small",
         id="params-feature-dim-too-small",
     ),
     # a question holding a lone surrogate, which no backend can encode
     pytest.param(
-        _with_params(question="\udcff?"), "route", id="question-lone-surrogate"
+        _with_params(question="\udcff?"),
+        "route",
+        "question holds a lone surrogate",
+        id="question-lone-surrogate",
     ),
     pytest.param(
         _with_task_row({"id": "s", "question": "\ud800?", "golden_answers": ["x"]}),
         "line 1",
+        "question holds a lone surrogate",
         id="task-question-lone-surrogate",
     ),
     # files holding a byte that is not UTF-8
@@ -1042,6 +1167,7 @@ BAD_INPUTS = [
             ],
         ),
         "config file {dir}/latin1.json",
+        "'utf-8' codec can't decode byte 0xff",
         id="config-not-utf8",
     ),
     pytest.param(
@@ -1053,6 +1179,7 @@ BAD_INPUTS = [
             _eval_into("latin1.jsonl"),
         ),
         "line 2",
+        "not UTF-8 text",
         id="tasks-not-utf8",
     ),
     pytest.param(
@@ -1066,6 +1193,7 @@ BAD_INPUTS = [
             ],
         ),
         "{dir}/latin1.jsonl:1",
+        "not UTF-8 text",
         id="reward-check-file-not-utf8",
     ),
     # a bad row after a good one: stdout stays empty
@@ -1081,6 +1209,7 @@ BAD_INPUTS = [
             _reward_check("audit2.jsonl"),
         ),
         "{dir}/audit2.jsonl:2",
+        "bad trajectory row: 'raw'",
         id="reward-check-bad-row-after-a-good-one",
     ),
     # a knowledge base names its file and the line
@@ -1091,6 +1220,7 @@ BAD_INPUTS = [
             _sim_backend(kb_path="latin1_kb.jsonl"),
         ),
         "pool model #0: {dir}/latin1_kb.jsonl: line 2",
+        "not UTF-8 text",
         id="kb-not-utf8",
     ),
     # a finite price whose bill overflows
@@ -1098,6 +1228,7 @@ BAD_INPUTS = [
         lambda workdir: _model(cost_per_token=1e308)(workdir)
         + ["--gold", FILM_GOLD],
         "run config",
+        "cost_per_token 1e+308 overflows a bill",
         id="price-bill-overflows",
     ),
     pytest.param(
@@ -1110,6 +1241,7 @@ BAD_INPUTS = [
             ),
         ),
         "{dir}/overflow.jsonl:1",
+        "re-priced cost is not finite",
         id="reward-check-cost-overflows",
     ),
     # a trainer whose features hold only the round one-hot
@@ -1127,6 +1259,7 @@ BAD_INPUTS = [
             ],
         ),
         "trainer",
+        "feature_dim too small",
         id="train-feature-dim-too-small",
     ),
     pytest.param(
@@ -1137,12 +1270,14 @@ BAD_INPUTS = [
             "--max-inflight", "-1",
         ],
         "serve",
+        "--max-inflight must be >= 0",
         id="serve-max-inflight-negative",
     ),
     # a task file with no rows, empty or blank
     pytest.param(
         _with_bytes("empty.jsonl", b"", _eval_into("empty.jsonl")),
         "{dir}/empty.jsonl",
+        "no tasks",
         id="eval-empty-task-file",
     ),
     pytest.param(
@@ -1156,6 +1291,7 @@ BAD_INPUTS = [
             ],
         ),
         "{dir}/blank.jsonl",
+        "no tasks",
         id="train-empty-task-file",
     ),
     # number fields holding NaN or an infinity, which JSON files can spell
@@ -1163,34 +1299,52 @@ BAD_INPUTS = [
         lambda workdir: _top_level(reward={"epsilon": float("nan")})(workdir)
         + ["--gold", FILM_GOLD],
         "reward",
+        "epsilon must be a finite number",
         id="reward-epsilon-nan",
     ),
     pytest.param(
         _train_with({"learning_rate": float("nan")}),
         "trainer",
+        "learning_rate must be a finite number",
         id="trainer-learning-rate-nan",
     ),
     pytest.param(
-        _train_with({"beta": float("inf")}), "trainer", id="trainer-beta-infinity"
+        _train_with({"beta": float("inf")}),
+        "trainer",
+        "beta must be a finite number",
+        id="trainer-beta-infinity",
     ),
     pytest.param(
         _train_with({"temperature": float("nan")}),
         "trainer",
+        "temperature must be a finite number",
         id="trainer-temperature-nan",
     ),
     pytest.param(
         _model(backend={"type": "http", "model": "m", "temperature": float("nan")}),
         "pool model #0",
+        "temperature must be a finite number",
         id="http-backend-temperature-nan",
     ),
     pytest.param(
         _top_level(policy={"kind": "http", "model": "p", "temperature": float("inf")}),
         "http policy",
+        "temperature must be a finite number",
         id="http-policy-temperature-infinity",
     ),
     # negative seeds, which numpy's generator refuses
-    pytest.param(_train_with({}, "--seed", "-1"), "trainer", id="train-seed-negative"),
-    pytest.param(_with_params(seed=-1), "run config", id="route-seed-negative"),
+    pytest.param(
+        _train_with({}, "--seed", "-1"),
+        "trainer",
+        "seed must be nonnegative",
+        id="train-seed-negative",
+    ),
+    pytest.param(
+        _with_params(seed=-1),
+        "run config",
+        "seed must be nonnegative",
+        id="route-seed-negative",
+    ),
     # an integer literal longer than Python converts
     pytest.param(
         _with_bytes(
@@ -1203,6 +1357,7 @@ BAD_INPUTS = [
             ],
         ),
         "config file {dir}/long_int.json",
+        "Exceeds the limit (4300 digits)",
         id="config-integer-over-4300-digits",
     ),
     pytest.param(
@@ -1212,45 +1367,79 @@ BAD_INPUTS = [
             _eval_into("long_int.jsonl"),
         ),
         "line 1",
+        "Exceeds the limit (4300 digits)",
         id="task-integer-over-4300-digits",
     ),
     # a path holding a NUL byte, which no file name can hold
     pytest.param(
         _top_level(policy={"kind": "scripted", "script_path": "/a\u0000b"}),
         "scripted policy '/a\\x00b'",
+        "a path cannot hold a NUL byte",
         id="script-path-nul-byte",
     ),
     pytest.param(
         _top_level(pool="/po\u0000ol.json"),
         "pool config '/po\\x00ol.json'",
+        "a path cannot hold a NUL byte",
         id="pool-path-nul-byte",
     ),
     pytest.param(
         _top_level(policy={"kind": "params", "path": "/p\u0000q"}),
         "params policy '/p\\x00q'",
+        "a path cannot hold a NUL byte",
         id="params-path-nul-byte",
     ),
     pytest.param(
         _sim_backend(kb_path="/k\u0000b.jsonl"),
         "pool model #0: kb_path '/k\\x00b.jsonl'",
+        "a path cannot hold a NUL byte",
         id="kb-path-nul-byte",
     ),
     # an integer too large for a float in a number field
     pytest.param(
         _top_level(reward={"epsilon": int("1" * 400)}),
         "reward",
+        "epsilon must be a finite number",
         id="reward-epsilon-oversized-int",
     ),
     pytest.param(
         _top_level(eval_warmup_costs=[1.0, int("1" * 400)]),
         "run config",
+        "eval_warmup_costs[1] must be a finite number",
         id="warmup-cost-oversized-int",
+    ),
+    # a --bind port that no socket can bind
+    *[
+        pytest.param(
+            _serve_bind(bind),
+            "serve",
+            "--bind must be host:port with a port from 0 to 65535",
+            id=f"bind-port-{name}",
+        )
+        for name, bind in (
+            ("out-of-range", "127.0.0.1:99999"),
+            ("not-ascii", "127.0.0.1:\u00b2"),
+            ("5000-digits", "127.0.0.1:" + "1" * 5000),
+        )
+    ],
+    # a knowledge-base path that is not a string
+    pytest.param(
+        _sim_backend(kb_path=5),
+        "pool model #0",
+        "kb_path must be a string",
+        id="kb-path-not-string",
+    ),
+    pytest.param(
+        _sim_backend(kb_path=False),
+        "pool model #0",
+        "kb_path must be a string",
+        id="kb-path-false",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, context", BAD_INPUTS)
-def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
+@pytest.mark.parametrize("argv, context, reason", BAD_INPUTS)
+def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context, reason):
     (workdir / "not.json").write_text("{nope")
     (workdir / "no_weights.json").write_text(json.dumps({"feature_dim": 64}))
     code = main(argv(workdir))
@@ -1258,28 +1447,30 @@ def test_bad_inputs_exit_2_with_one_error_line(workdir, capsys, argv, context):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: {context.format(dir=workdir)}: ")
+    prefix = f"error: {context.format(dir=workdir)}: "
+    assert captured.err.startswith(prefix)
+    assert reason.format(dir=workdir) in captured.err[len(prefix) :]
 
 
 @pytest.mark.parametrize(
-    "argv, context", [p for p in BAD_INPUTS if p.id.endswith("-nul-byte")]
+    "argv, context, reason", [p for p in BAD_INPUTS if p.id.endswith("-nul-byte")]
 )
-def test_nul_byte_in_a_path_is_shown_escaped(workdir, capsys, argv, context):
+def test_nul_byte_in_a_path_is_shown_escaped(workdir, capsys, argv, context, reason):
     assert main(argv(workdir)) == 2
     err = capsys.readouterr().err
     assert "\x00" not in err
-    assert err == f"error: {context}: a path cannot hold a NUL byte\n"
+    assert err == f"error: {context}: {reason}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, context", [p for p in BAD_INPUTS if p.id.endswith("-oversized-int")]
+    "argv, context, reason",
+    [p for p in BAD_INPUTS if p.id.endswith("-oversized-int")],
 )
-def test_oversized_integer_names_its_field(workdir, capsys, argv, context):
+def test_oversized_integer_names_its_field(workdir, capsys, argv, context, reason):
     assert main(argv(workdir)) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(
-        rf"error: {context}: (epsilon|eval_warmup_costs\[1\]) must be a finite "
-        r"number, got 1{10,}\.\.\.1{10,}\n",
+        rf"error: {context}: {re.escape(reason)}, got 1{{10,}}\.\.\.1{{10,}}\n",
         err,
     )
 

@@ -26,7 +26,7 @@ from multiroute.pool import (
     RoutingPool,
     token_count,
 )
-from multiroute.protocol import DEFAULT_LEXICON, FormatRule, TagLexicon
+from multiroute.protocol import DEFAULT_LEXICON, BlockKind, FormatRule, TagLexicon
 from multiroute.rewards import CostWindow, RewardConfig
 
 from http_stub import (
@@ -60,8 +60,8 @@ def test_build_prompt_lists_candidates_in_pool_order(case_pool):
         for d in case_pool.descriptors
     ]
     assert positions == sorted(positions)
-    for lexeme in DEFAULT_LEXICON.primary_pairs_flat():
-        assert lexeme in prompt
+    for opener, closer, _ in DEFAULT_LEXICON.open_close_pairs()[: len(BlockKind)]:
+        assert opener in prompt and closer in prompt
 
 
 def test_build_prompt_uses_lexicon_tags(case_pool):

@@ -79,6 +79,54 @@ def test_utf8_line_rule_lives_only_in_read_jsonl():
     assert {name: n for name, n in counts.items() if n} == {"pool.py": 1}
 
 
+def colon_partitions(source: str) -> list[str]:
+    """The function around each ``.partition(":")`` call in ``source``, or
+    ``<module>`` for a call outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "partition"
+                and len(child.args) == 1
+                and isinstance(child.args[0], ast.Constant)
+                and child.args[0].value == ":"
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_colon_partitions():
+    source = (
+        "a, _, b = text.partition(':')\n"
+        "def f(t):\n"
+        "    def g(u):\n"
+        "        return u.partition(':')\n"
+        "    return t.partition(':'), t.rpartition(':'), t.partition(',')\n"
+    )
+    assert colon_partitions(source) == ["<module>", "g", "f"]
+
+
+def test_route_directive_grammar_lives_only_in_parse_route_directive():
+    """Only ``protocol.parse_route_directive`` splits text at its first
+    colon, so a route interior is read as a directive by one rule."""
+    sites = {
+        path.name: colon_partitions(path.read_text(encoding="utf-8"))
+        for path in MODULES
+    }
+    assert {name: s for name, s in sites.items() if s} == {
+        "protocol.py": ["parse_route_directive"]
+    }
+
+
 def imported_top_modules(source: str) -> set[str]:
     """First components of the absolute imports in ``source``."""
     found = set()

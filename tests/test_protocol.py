@@ -9,7 +9,6 @@ import pytest
 from multiroute.engine import reconstruct_cost
 from multiroute.protocol import (
     DEFAULT_LEXICON,
-    Block,
     BlockKind,
     DirectiveError,
     DirectiveErrorKind,
@@ -24,6 +23,33 @@ from multiroute.protocol import (
 )
 
 from format_fixtures import CORPUS, VALID_CORPUS
+
+
+def gaps(trajectory) -> list[str]:
+    """The text between blocks: ``raw`` outside the spans, in order."""
+    edges = [0, *(i for b in trajectory.blocks for i in b.span), len(trajectory.raw)]
+    return [trajectory.raw[a:b] for a, b in zip(edges[::2], edges[1::2])]
+
+
+def assert_blocks_cover_raw(trajectory, lexicon=DEFAULT_LEXICON):
+    """Spans rise strictly without overlap, each span is an accepted
+    open/close pair of its block's kind around the block's text, and no text
+    between blocks holds a tag lexeme."""
+    raw = trajectory.raw
+    pairs = lexicon.open_close_pairs()
+    previous_end = 0
+    for block in trajectory.blocks:
+        start, end = block.span
+        assert previous_end <= start < end, (raw, block)
+        assert any(
+            kind is block.kind and raw[start:end] == opener + block.text + closer
+            for opener, closer, kind in pairs
+        ), (raw, block)
+        previous_end = end
+    lexemes = [lex for opener, closer, _ in pairs for lex in (opener, closer)]
+    for gap in gaps(trajectory):
+        assert not any(lex in gap for lex in lexemes), (raw, gap)
+
 
 # ---------------------------------------------------------------------------
 # corpus agreement
@@ -40,13 +66,7 @@ def test_corpus_labels(entry, case_pool):
 @pytest.mark.parametrize("entry", VALID_CORPUS, ids=lambda e: e.name)
 def test_valid_corpus_round_trips(entry):
     trajectory = parse_trajectory(entry.raw)
-    assert trajectory.reconstruct() == entry.raw
-    # spans cover the tags: slicing raw at a span starts with an open lexeme
-    for block in trajectory.blocks:
-        start, end = block.span
-        assert entry.raw[start] == "<"
-        assert entry.raw[end - 1] == ">"
-        assert block.text in entry.raw[start:end]
+    assert_blocks_cover_raw(trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +74,7 @@ def test_valid_corpus_round_trips(entry):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_block_sequence_and_interiors():
+def test_parse_block_sequence_and_interiors(case_pool):
     raw = (
         "<think>plan</think>junk"
         "<search>LLaMA-3.1-70B-Instruct: sub q</search>"
@@ -69,13 +89,13 @@ def test_parse_block_sequence_and_interiors():
         BlockKind.ANSWER,
     ]
     assert trajectory.blocks[0].text == "plan"
-    assert trajectory.blocks[1].model_name == "LLaMA-3.1-70B-Instruct"
-    assert trajectory.blocks[1].sub_query == "sub q"
+    assert parse_route_directive(trajectory.blocks[1].text, case_pool) == (
+        "llama-3.1-70b-instruct",
+        "sub q",
+    )
     assert trajectory.blocks[2].text == "fact"
-    assert trajectory.inter_block_text[0] == ""
-    assert trajectory.inter_block_text[1] == "junk"
-    assert trajectory.inter_block_text[-1] == "tail"
-    assert trajectory.reconstruct() == raw
+    assert gaps(trajectory) == ["", "junk", "", "", "tail"]
+    assert_blocks_cover_raw(trajectory)
 
 
 def test_parse_info_alias_maps_to_info_kind():
@@ -123,8 +143,7 @@ def test_parse_failures_report_position(raw, offset, expected, found):
 def test_untagged_text_is_not_a_block():
     trajectory = parse_trajectory("no tags at all")
     assert trajectory.blocks == []
-    assert trajectory.inter_block_text == ["no tags at all"]
-    assert trajectory.reconstruct() == "no tags at all"
+    assert gaps(trajectory) == ["no tags at all"]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +249,7 @@ def test_randomized_valid_trajectories(case_pool):
     for _ in range(200):
         raw, answer = _random_valid(rng, case_pool)
         trajectory = parse_trajectory(raw)
-        assert trajectory.reconstruct() == raw
+        assert_blocks_cover_raw(trajectory)
         assert extract_answer(trajectory) == answer
         verdict = validate_format(raw, DEFAULT_LEXICON, case_pool)
         assert verdict.ok, verdict.violations
@@ -319,11 +338,6 @@ def test_lexicon_rejects_empty_lexeme():
         TagLexicon(info_close="")
 
 
-def test_block_dataclass_defaults():
-    block = Block(BlockKind.THINK, "x", (0, 10))
-    assert block.model_name == "" and block.sub_query == ""
-
-
 # ---------------------------------------------------------------------------
 # seeded fuzz: tag soup raises only the documented errors
 # ---------------------------------------------------------------------------
@@ -379,7 +393,7 @@ def test_tag_soup_raises_only_documented_errors(case_pool, lexicon):
         except ParseFailure:
             trajectory = None
         else:
-            assert trajectory.reconstruct() == raw
+            assert_blocks_cover_raw(trajectory, lexicon)
             extract_answer(trajectory)
             loss_mask(trajectory)
             reconstruct_cost(trajectory, case_pool)
