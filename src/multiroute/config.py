@@ -66,9 +66,8 @@ def _build_backend(section, context: str, base_dir: str):
     if kind == "sim":
         kb = fields.pop("kb", {})
         kb_path = fields.pop("kb_path", None)
-        if kb_path is not None and not isinstance(kb_path, str):
-            raise ConfigError(f"{context}: kb_path must be a string")
-        if kb_path:
+        if kb_path is not None:
+            check_path_value(kb_path, "kb_path", context)
             try:
                 kb_file = config_path(base_dir, kb_path, f"{context}: kb_path")
                 kb = load_knowledge_base(kb_file)
@@ -102,13 +101,32 @@ def config_path(base_dir: str, path: str, what: str) -> str:
     return path
 
 
-def read_json(path: str, what: str):
-    """Parse the JSON file at ``path``; ``what`` names it in a ConfigError."""
+def check_path_value(value, key: str, context: str) -> None:
+    """Raise ConfigError unless the path under ``key`` is a nonempty string;
+    ``context`` names the section."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: {key} must be a string")
+    if not value:
+        raise ConfigError(f"{context}: {key} must not be empty")
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; ``what`` names it in a
+    ConfigError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} {path}: not UTF-8 text") from None
+
+
+def read_json(path: str, what: str):
+    """Parse the JSON file at ``path``; ``what`` names it in a ConfigError."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path}: invalid JSON: {exc}")
 

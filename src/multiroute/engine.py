@@ -172,21 +172,34 @@ def build_prompt(
     question: str, pool: RoutingPool, lexicon: TagLexicon = DEFAULT_LEXICON
 ) -> str:
     """Render the routing prompt with candidate descriptions in pool order."""
+    head, _ = _pool_prompt_head(pool, lexicon)
+    return head + question + _PROMPT_TAIL
+
+
+def _pool_prompt_head(pool: RoutingPool, lexicon: TagLexicon) -> tuple[str, int]:
+    """`_prompt_head` for the pool's models in pool order.
+
+    Raises:
+        EmptyPoolError: the pool holds no model.
+    """
     if len(pool) == 0:
         raise EmptyPoolError("cannot build a routing prompt over an empty pool")
     candidates = tuple((d.display_name, d.descriptor_text) for d in pool)
-    return _prompt_head(lexicon, candidates) + question + _PROMPT_TAIL
+    return _prompt_head(lexicon, candidates)
 
 
 @functools.lru_cache(maxsize=64)
 def _prompt_head(
     lexicon: TagLexicon, candidates: tuple[tuple[str, str], ...]
-) -> str:
-    """The prompt up to the question for one lexicon and one list of
-    (display name, descriptor text) pairs, cached by value, so a hot-added
-    model or an edited descriptor shows up at the next call."""
+) -> tuple[str, int]:
+    """The prompt up to the question and its token count, for one lexicon
+    and one list of (display name, descriptor text) pairs, cached by value,
+    so a hot-added model or an edited descriptor shows up at the next call.
+    The head ends with "Question: ", so no word spans its join with the
+    question and the counts add up."""
     lines = "\n".join(f"{name}: {text}" for name, text in candidates)
-    return _PROMPT_HEAD.format(**vars(lexicon), candidates_intro="\n" + lines)
+    head = _PROMPT_HEAD.format(**vars(lexicon), candidates_intro="\n" + lines)
+    return head, token_count(head)
 
 
 def _directive_error_notice(error: DirectiveError) -> str:
@@ -317,7 +330,8 @@ def run_episode(
     window and carry ``rewards=None``.
     """
     lexicon = config.lexicon
-    prompt = build_prompt(question, pool, lexicon)
+    head, head_tokens = _pool_prompt_head(pool, lexicon)
+    prompt = head + question + _PROMPT_TAIL
     trajectory_text = ""
     context_tokens = 0
     calls: list[CallRecord] = []
@@ -346,7 +360,9 @@ def run_episode(
         if calls:
             context_tokens += token_count(continuation)
         else:
-            context_tokens = token_count(prompt + trajectory_text)
+            context_tokens = head_tokens + token_count(
+                question + _PROMPT_TAIL + trajectory_text
+            )
         record, info_text = _handle_route(interior, pool, config)
         calls.append(record)
         block, block_tokens = _fit_info_to_budget(

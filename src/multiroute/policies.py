@@ -8,13 +8,22 @@ section, for the CLI and the HTTP service alike.
 
 from __future__ import annotations
 
+import json
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_section, config_path, read_json
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_section,
+    check_path_value,
+    config_path,
+    read_json,
+    read_text,
+)
 from .engine import PolicyBackend
 from .pool import ChatEndpoint
 from .protocol import DEFAULT_LEXICON, TagLexicon
@@ -113,13 +122,12 @@ def policy_factory(run: RunConfig):
     kind = section.get("kind")
 
     def path_of(key: str) -> str:
-        if not isinstance(section[key], str):
-            raise ConfigError(f"{kind} policy: {key} must be a string")
+        check_path_value(section[key], key, f"{kind} policy")
         return config_path(run.base_dir, section[key], f"{kind} policy")
 
     if kind == "scripted":
         script = section.get("script")
-        if section.get("script_path"):
+        if section.get("script_path") is not None:
             script = read_json(path_of("script_path"), "scripted policy")
         if script is None or isinstance(script, list):
             script = {"default": script or []}
@@ -137,9 +145,11 @@ def policy_factory(run: RunConfig):
         if not section.get("path"):
             raise ConfigError("params policy: 'path' is required")
         path = path_of("path")
+        text = read_text(path, "params policy")
         try:
-            with open(path, encoding="utf-8") as f:
-                params = PolicyParams.from_json(f.read())
+            params = PolicyParams.from_json(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"params policy {path}: invalid JSON: {exc}") from None
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(
                 f"params policy {path}: bad params file: {type(exc).__name__}: {exc}"

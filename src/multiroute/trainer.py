@@ -13,6 +13,8 @@ frozen copy of the initial policy as the KL reference.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import zlib
@@ -202,11 +204,13 @@ def sample_action(
         ValueError: the probabilities are not finite.
     """
     probs = action_distribution(params, features)
-    cdf = (probs / probs.sum()).cumsum()
-    if not math.isfinite(cdf[-1]):
+    # numpy's cumsum, divide and right-side search in Python floats: the
+    # same additions in the same order, at a fraction of the call cost.
+    cdf = list(itertools.accumulate((probs / probs.sum()).tolist()))
+    total = cdf[-1]
+    if not math.isfinite(total):
         raise ValueError("action probabilities are not finite")
-    cdf /= cdf[-1]
-    index = int(cdf.searchsorted(rng.random(), side="right"))
+    index = bisect.bisect_right([value / total for value in cdf], rng.random())
     return index, probs
 
 
@@ -360,28 +364,86 @@ def surrogate_gradient(
 
         d log pi(a) / dW = outer(f, onehot(a) - p) / tau
         d KL(p || q) / dW = outer(f, p * (log(p / q) - KL)) / tau
+
+    The decisions run as array operations over blocks of the batch.  Each
+    decision's term takes the floating-point operations of the formulas in
+    the order a loop over the decisions takes them, and the terms are added
+    one after another, so the result is bit-identical to that loop.
+    """
+    steps = [
+        (sample.reward - baseline, step) for sample in batch for step in sample.steps
+    ]
+    # The sum is kept transposed, one row per action, so the elementwise
+    # work runs along the features; the values are the same either way.
+    grad_t = np.zeros(weights.shape[::-1], dtype=weights.dtype)
+    rows_per_step = 2 if config.beta > 0.0 else 1
+    block = max(1, _BLOCK_BYTES // (grad_t.nbytes * rows_per_step))
+    for start in range(0, len(steps), block):
+        block_steps = steps[start : start + block]
+        grad_t = _add_step_terms(weights, grad_t, block_steps, reference, config)
+    return np.ascontiguousarray(grad_t.T) / len(batch)
+
+
+# Bytes of gradient terms that one block of decisions holds at once.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_logits(
+    features: np.ndarray, weights: np.ndarray, temperature: float
+) -> np.ndarray:
+    """``f @ weights / temperature`` for each row f of ``features``.
+
+    A stacked ``matmul`` takes each row's vector-matrix product on its own
+    and matches ``f @ weights`` bit for bit; ``features @ weights`` runs
+    one matrix product, which may round differently.
+    """
+    return np.matmul(features[:, None, :], weights)[:, 0, :] / temperature
+
+
+def _add_step_terms(
+    weights: np.ndarray,
+    grad_t: np.ndarray,
+    steps: Sequence[tuple[float, DecisionStep]],
+    reference: PolicyParams,
+    config: TrainConfig,
+) -> np.ndarray:
+    """``grad_t`` plus the transposed term of each (advantage, step), in
+    step order.
+
+    The KL term of a step follows its REINFORCE term, negated, since
+    ``grad - x`` is ``grad + (-x)`` exactly.
     """
     temperature = config.temperature
-    grad = np.zeros_like(weights)
-    for sample in batch:
-        advantage = sample.reward - baseline
-        for step in sample.steps:
-            logits = step.features @ weights / temperature
-            log_probs = _log_softmax(logits)
-            probs = np.exp(log_probs)
-            direction = -probs.copy()
-            direction[step.action] += 1.0
-            grad += advantage * np.outer(step.features, direction) / temperature
-            if config.beta > 0.0:
-                ref_logits = (
-                    step.features @ reference.weights / reference.temperature
-                )
-                ref_log_probs = _log_softmax(ref_logits)
-                log_ratio = log_probs - ref_log_probs
-                kl = float(np.sum(probs * log_ratio))
-                kl_dir = probs * (log_ratio - kl)
-                grad -= config.beta * np.outer(step.features, kl_dir) / temperature
-    return grad / len(batch)
+    features = np.array([step.features for _, step in steps])
+    advantages = np.array([advantage for advantage, _ in steps])
+    log_probs = _log_softmax(_row_logits(features, weights, temperature))
+    probs = np.exp(log_probs)
+    direction = -probs
+    direction[np.arange(len(steps)), [step.action for _, step in steps]] += 1.0
+
+    penalized = config.beta > 0.0
+    stride = 2 if penalized else 1
+    # Row 0 carries the running sum, so the reduce below adds in loop order.
+    terms = np.empty((1 + stride * len(steps),) + grad_t.shape, dtype=grad_t.dtype)
+    terms[0] = grad_t
+    rows_of_features = features[:, None, :]
+    reinforce = terms[1::stride]
+    np.multiply(direction[:, :, None], rows_of_features, out=reinforce)
+    np.multiply(advantages[:, None, None], reinforce, out=reinforce)
+    np.divide(reinforce, temperature, out=reinforce)
+    if penalized:
+        ref_log_probs = _log_softmax(
+            _row_logits(features, reference.weights, reference.temperature)
+        )
+        log_ratio = log_probs - ref_log_probs
+        kl = (probs * log_ratio).sum(axis=-1, keepdims=True)
+        kl_dir = probs * (log_ratio - kl)
+        penalty = terms[2::stride]
+        np.multiply(kl_dir[:, :, None], rows_of_features, out=penalty)
+        np.multiply(config.beta, penalty, out=penalty)
+        np.divide(penalty, temperature, out=penalty)
+        np.negative(penalty, out=penalty)
+    return np.add.reduce(terms, axis=0)
 
 
 def policy_gradient_step(
@@ -452,6 +514,18 @@ def rollout(
     return episode, sample
 
 
+def _mean_entropy(distributions: Sequence[np.ndarray]) -> float:
+    """Mean entropy of equal-length distributions, 0.0 for none.
+
+    Each row's entropy rounds as it would on its own, so the mean is the
+    same as that of a per-distribution loop.
+    """
+    if not distributions:
+        return 0.0
+    probs = np.array(distributions)
+    return float(np.mean(-(probs * np.log(probs + 1e-12)).sum(axis=1)))
+
+
 def train(
     tasks: Sequence,
     pool: RoutingPool,
@@ -481,7 +555,7 @@ def train(
     for step in range(config.steps):
         batch: list[EpisodeSample] = []
         costs: list[float] = []
-        entropies: list[float] = []
+        step_probs: list[np.ndarray] = []
         call_counts: dict[str, int] = {d.id: 0 for d in pool}
         total_calls = 0
         for i in range(config.batch_size):
@@ -498,9 +572,7 @@ def train(
             )
             batch.append(sample)
             costs.append(episode.rewards.cost_raw)
-            for decision in sample.steps:
-                probs = decision.probs
-                entropies.append(float(-(probs * np.log(probs + 1e-12)).sum()))
+            step_probs.extend(decision.probs for decision in sample.steps)
             for call in episode.calls:
                 if call.model_id in call_counts:
                     call_counts[call.model_id] += 1
@@ -508,7 +580,7 @@ def train(
 
         report.mean_reward.append(float(np.mean([s.reward for s in batch])))
         report.mean_cost.append(float(np.mean(costs)))
-        report.entropy.append(float(np.mean(entropies)) if entropies else 0.0)
+        report.entropy.append(_mean_entropy(step_probs))
         report.route_fractions.append(
             {
                 model_id: (count / total_calls if total_calls else 0.0)

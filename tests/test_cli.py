@@ -846,7 +846,7 @@ BAD_INPUTS = [
     pytest.param(
         _top_level(policy={"kind": "params", "path": "not.json"}),
         "params policy {dir}/not.json",
-        "bad params file: JSONDecodeError",
+        "invalid JSON",
         id="params-file-not-json",
     ),
     pytest.param(
@@ -1167,7 +1167,7 @@ BAD_INPUTS = [
             ],
         ),
         "config file {dir}/latin1.json",
-        "'utf-8' codec can't decode byte 0xff",
+        "not UTF-8 text",
         id="config-not-utf8",
     ),
     pytest.param(
@@ -1434,6 +1434,64 @@ BAD_INPUTS = [
         "pool model #0",
         "kb_path must be a string",
         id="kb-path-false",
+    ),
+    # a path key that is present and falsy, which names no file
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script": [], "script_path": False}),
+        "scripted policy",
+        "script_path must be a string",
+        id="script-path-false",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script_path": 0}),
+        "scripted policy",
+        "script_path must be a string",
+        id="script-path-zero",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script": [], "script_path": ""}),
+        "scripted policy",
+        "script_path must not be empty",
+        id="script-path-empty",
+    ),
+    pytest.param(
+        _sim_backend(kb_path=""),
+        "pool model #0",
+        "kb_path must not be empty",
+        id="kb-path-empty",
+    ),
+    # JSON files holding a byte that is not UTF-8, each read the same way
+    pytest.param(
+        _with_bytes(
+            "latin1_params.json",
+            b'{"feature_dim": "\xff"}',
+            _top_level(policy={"kind": "params", "path": "latin1_params.json"}),
+        ),
+        "params policy {dir}/latin1_params.json",
+        "not UTF-8 text",
+        id="params-file-not-utf8",
+    ),
+    pytest.param(
+        _with_bytes(
+            "latin1_script.json",
+            b'["caf\xe9"]',
+            _top_level(
+                policy={"kind": "scripted", "script_path": "latin1_script.json"}
+            ),
+        ),
+        "scripted policy {dir}/latin1_script.json",
+        "not UTF-8 text",
+        id="script-file-not-utf8",
+    ),
+    pytest.param(
+        _with_bytes(
+            "latin1_pool.json",
+            b'{"models": "\xff"}',
+            _top_level(pool="latin1_pool.json"),
+        ),
+        "pool config {dir}/latin1_pool.json",
+        "not UTF-8 text",
+        id="pool-file-not-utf8",
     ),
 ]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,153 @@ def test_baseline_moves_by_ema():
     assert chained == pytest.approx(0.9 * new_baseline + 0.1 * 0.5)
 
 
+def _loop_gradient(weights, batch, baseline, reference, config):
+    """`surrogate_gradient` as a loop over the decisions, one at a time."""
+    temperature = config.temperature
+    grad = np.zeros_like(weights)
+    for sample in batch:
+        advantage = sample.reward - baseline
+        for step in sample.steps:
+            logits = step.features @ weights / temperature
+            log_probs = trainer._log_softmax(logits)
+            probs = np.exp(log_probs)
+            direction = -probs.copy()
+            direction[step.action] += 1.0
+            grad += advantage * np.outer(step.features, direction) / temperature
+            if config.beta > 0.0:
+                ref_logits = (
+                    step.features @ reference.weights / reference.temperature
+                )
+                ref_log_probs = trainer._log_softmax(ref_logits)
+                log_ratio = log_probs - ref_log_probs
+                kl = float(np.sum(probs * log_ratio))
+                kl_dir = probs * (log_ratio - kl)
+                grad -= config.beta * np.outer(step.features, kl_dir) / temperature
+    return grad / len(batch)
+
+
+def _loop_mean_entropy(distributions):
+    """The training report's entropy as a loop over the decisions."""
+    entropies = [float(-(p * np.log(p + 1e-12)).sum()) for p in distributions]
+    return float(np.mean(entropies)) if entropies else 0.0
+
+
+def _sparse_batch(rng, feature_dim, n_actions, n_steps):
+    """``n_steps`` decisions over episodes of 0 to 5 steps, with features
+    that are often exactly zero and some rows that are all zero."""
+    batch, left = [], n_steps
+    while left or not batch:
+        count = min(left, int(rng.integers(0, 6)))
+        steps = []
+        for _ in range(count):
+            features = rng.normal(scale=2.0, size=feature_dim)
+            features[rng.random(feature_dim) < 0.5] = 0.0
+            if rng.random() < 0.1:
+                features[:] = 0.0
+            steps.append(DecisionStep(features, int(rng.integers(n_actions))))
+        batch.append(EpisodeSample(reward=float(rng.normal()), steps=steps))
+        left -= count
+    return batch
+
+
+def _gradient_case(seed, beta, temperature, feature_dim, n_actions, n_steps):
+    rng = np.random.default_rng(seed)
+    config = TrainConfig(beta=beta, feature_dim=feature_dim, temperature=temperature)
+    actions = tuple(f"a{i}" for i in range(n_actions))
+    scale = (0.1, 1.0, 30.0)[seed % 3]  # the large scale underflows probs to 0
+    weights = rng.normal(scale=scale, size=(feature_dim, n_actions))
+    reference = PolicyParams(
+        feature_dim,
+        actions,
+        rng.normal(scale=0.5, size=(feature_dim, n_actions)),
+        temperature,
+    )
+    batch = _sparse_batch(rng, feature_dim, n_actions, n_steps)
+    return weights, batch, float(rng.normal()), reference, config
+
+
+# (feature_dim, actions, decisions): numpy sums 8 or more numbers pairwise,
+# so 8 and 9 actions take another summation path than 2 to 7.
+GRADIENT_SHAPES = [
+    (8, 2, 1), (13, 9, 2), (64, 3, 17), (100, 8, 70), (256, 5, 160), (37, 7, 320)
+]
+
+
+@pytest.mark.parametrize("temperature", [0.8, 1.0, 4.0])
+@pytest.mark.parametrize("beta", [0.0, 0.01, 1.0])
+def test_gradient_is_bit_identical_to_the_decision_loop(beta, temperature):
+    for seed, (feature_dim, n_actions, n_steps) in enumerate(GRADIENT_SHAPES):
+        rng_seed = seed + int(temperature * 10)
+        case = _gradient_case(
+            rng_seed, beta, temperature, feature_dim, n_actions, n_steps
+        )
+        batched = surrogate_gradient(*case)
+        assert batched.tobytes() == _loop_gradient(*case).tobytes(), seed
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.01])
+def test_gradient_spanning_several_blocks_matches_the_loop(beta):
+    case = _gradient_case(
+        7, beta, 1.0, feature_dim=2048, n_actions=9, n_steps=40
+    )
+    weights, _, _, _, config = case
+    per_block = trainer._BLOCK_BYTES // (weights.nbytes * (2 if beta else 1))
+    assert 40 > 4 * per_block
+    assert surrogate_gradient(*case).tobytes() == _loop_gradient(*case).tobytes()
+
+
+def test_gradient_of_empty_samples_is_zero_and_of_no_samples_is_nan():
+    reference = PolicyParams.initial(8, _two_model_pool())
+    weights = np.ones((8, 3))
+    config = TrainConfig(feature_dim=8)
+    empty = [EpisodeSample(reward=1.0, steps=[]), EpisodeSample(-1.0, [])]
+    grad = surrogate_gradient(weights, empty, 0.3, reference, config)
+    assert grad.tobytes() == np.zeros((8, 3)).tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(surrogate_gradient(weights, [], 0.3, reference, config)).all()
+
+
+def test_stacked_matmul_matches_per_row_products():
+    """The batched gradient rests on this: ``np.matmul`` over a stack of
+    1-row matrices rounds each row as ``f @ W`` does on its own."""
+    rng = np.random.default_rng(31)
+    for feature_dim in (8, 13, 64, 256, 1024, 2048):
+        for n_actions in (2, 3, 5, 9):
+            weights = rng.normal(size=(feature_dim, n_actions))
+            features = rng.normal(size=(50, feature_dim))
+            features[rng.random(features.shape) < 0.3] = 0.0
+            stacked = np.matmul(features[:, None, :], weights)[:, 0, :]
+            per_row = np.stack([row @ weights for row in features])
+            assert stacked.tobytes() == per_row.tobytes(), (feature_dim, n_actions)
+
+
+def test_mean_entropy_is_bit_identical_to_the_decision_loop():
+    rng = np.random.default_rng(17)
+    assert trainer._mean_entropy([]) == _loop_mean_entropy([]) == 0.0
+    for trial in range(60):
+        n_actions = int(rng.integers(2, 10))
+        rows = []
+        for _ in range(int(rng.integers(1, 200))):
+            logits = rng.normal(scale=(0.1, 2.0, 40.0)[trial % 3], size=n_actions)
+            exp = np.exp(logits - logits.max())
+            rows.append(exp / exp.sum())
+        assert trainer._mean_entropy(rows) == _loop_mean_entropy(rows), trial
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.01])
+def test_gradient_memory_stays_bounded_on_a_large_batch(beta):
+    """320 decisions of 2,048 features and 9 actions: their terms alone
+    would take 45 MiB at once."""
+    case = _gradient_case(3, beta, 1.0, feature_dim=2048, n_actions=9, n_steps=320)
+    tracemalloc.start()
+    try:
+        surrogate_gradient(*case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the engine adapter
 # ---------------------------------------------------------------------------
@@ -592,6 +740,46 @@ def test_train_runs_one_softmax_per_decision(monkeypatch):
     decisions = sum(len(sample.steps) for sample in samples)
     assert decisions >= len(samples) == 12
     assert len(softmaxes) == decisions
+
+
+@pytest.mark.parametrize("beta, per_step", [(0.0, 1), (0.01, 2)])
+def test_train_runs_one_gradient_softmax_per_step(monkeypatch, beta, per_step):
+    """The gradient takes one block of decisions per step at this size: one
+    batched log-softmax, plus one for the reference with the KL term on."""
+    calls = []
+    original = trainer._log_softmax
+
+    def counted(logits):
+        calls.append(logits.shape)
+        return original(logits)
+
+    monkeypatch.setattr(trainer, "_log_softmax", counted)
+    pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
+    config = TrainConfig(steps=3, batch_size=4, feature_dim=16, seed=4, beta=beta)
+    train(tasks, pool, config)
+    assert len(calls) == per_step * config.steps
+    assert all(len(shape) == 2 and shape[0] >= config.batch_size for shape in calls)
+
+
+def test_train_entropy_matches_the_decision_loop(monkeypatch):
+    samples = []
+    original_rollout = trainer.rollout
+
+    def recorded_rollout(*args, **kwargs):
+        episode, sample = original_rollout(*args, **kwargs)
+        samples.append(sample)
+        return episode, sample
+
+    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
+    report = train(tasks, pool, TrainConfig(steps=3, batch_size=5, feature_dim=16))
+    expected = [
+        _loop_mean_entropy(
+            [d.probs for sample in samples[i : i + 5] for d in sample.steps]
+        )
+        for i in range(0, 15, 5)
+    ]
+    assert report.entropy == expected
 
 
 def test_adapter_features_equal_featurize_each_round():
