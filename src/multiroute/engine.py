@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .pool import (
@@ -139,16 +139,33 @@ class PolicyBackend(abc.ABC):
 
 @dataclass
 class Episode:
+    """What one run produced.  The parsed trajectory, the final answer, the
+    loss-mask spans and the route count are read off it, not stored."""
+
     question: str
     golds: Optional[list[str]]
     raw_trajectory: str
-    trajectory: Optional[Trajectory]
-    verdict: Optional[FormatVerdict]
+    verdict: FormatVerdict
     calls: list[CallRecord]
-    final_answer: Optional[str]
     rewards: Optional[RewardBreakdown]
-    mask_spans: list[tuple[int, int]] = field(default_factory=list)
-    route_count: int = 0
+
+    @property
+    def trajectory(self) -> Optional[Trajectory]:
+        return self.verdict.trajectory
+
+    @property
+    def final_answer(self) -> Optional[str]:
+        trajectory = self.verdict.trajectory
+        return extract_answer(trajectory) if trajectory else None
+
+    @property
+    def mask_spans(self) -> list[tuple[int, int]]:
+        trajectory = self.verdict.trajectory
+        return loss_mask(trajectory) if trajectory else []
+
+    @property
+    def route_count(self) -> int:
+        return len(self.calls)
 
     def to_record(self) -> dict:
         return {
@@ -160,11 +177,7 @@ class Episode:
             "mask_spans": [list(span) for span in self.mask_spans],
             "calls": [call.to_record() for call in self.calls],
             "rewards": self.rewards.to_record() if self.rewards else None,
-            "format_violations": (
-                [v.to_record() for v in self.verdict.violations]
-                if self.verdict
-                else []
-            ),
+            "format_violations": [v.to_record() for v in self.verdict.violations],
         }
 
 
@@ -210,11 +223,12 @@ def _handle_route(
     interior: str,
     pool: RoutingPool,
     config: EngineConfig,
-) -> tuple[CallRecord, str]:
+) -> CallRecord:
     """Resolve and dispatch one route interior; never raises.
 
-    Failures produce a zero-cost CallRecord with ``error`` set plus a canned
-    info text, so every route consumes budget and appears in the audit trail.
+    Failures produce a zero-cost CallRecord with ``error`` set and a canned
+    notice as its response text, so every route consumes budget and appears
+    in the audit trail.  The record's response text becomes the info block.
     """
     try:
         model_id, sub_query = parse_route_directive(interior, pool)
@@ -231,8 +245,8 @@ def _handle_route(
     except (BackendTimeout, BackendError) as exc:
         notice, error = NO_ASSISTANCE_TEXT, exc
     else:
-        return record, record.response_text
-    record = CallRecord(
+        return record
+    return CallRecord(
         model_id=model_id,
         sub_query=sub_query,
         response_text=notice,
@@ -241,7 +255,6 @@ def _handle_route(
         latency_ms=0.0,
         error=str(error),
     )
-    return record, notice
 
 
 def _fit_info_to_budget(
@@ -363,37 +376,23 @@ def run_episode(
             context_tokens = head_tokens + token_count(
                 question + _PROMPT_TAIL + trajectory_text
             )
-        record, info_text = _handle_route(interior, pool, config)
+        record = _handle_route(interior, pool, config)
         calls.append(record)
         block, block_tokens = _fit_info_to_budget(
-            info_text, context_tokens, config, lexicon
+            record.response_text, context_tokens, config, lexicon
         )
         trajectory_text += block
         context_tokens += block_tokens
 
     verdict = validate_format(trajectory_text, lexicon, pool)
-    trajectory = verdict.trajectory
-    final_answer = extract_answer(trajectory) if trajectory else None
-    rewards: Optional[RewardBreakdown] = None
+    episode = Episode(question, golds, trajectory_text, verdict, calls, rewards=None)
     if golds is not None:
-        rewards = score_episode(
+        episode.rewards = score_episode(
             verdict,
-            final_answer,
+            episode.final_answer,
             golds,
             episode_cost_raw(calls),
             window,
             reward_config,
         )
-
-    return Episode(
-        question=question,
-        golds=golds,
-        raw_trajectory=trajectory_text,
-        trajectory=trajectory,
-        verdict=verdict,
-        calls=calls,
-        final_answer=final_answer,
-        rewards=rewards,
-        mask_spans=loss_mask(trajectory) if trajectory else [],
-        route_count=len(calls),
-    )
+    return episode

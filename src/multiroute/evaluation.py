@@ -144,9 +144,10 @@ def evaluate(
             reward_config,
         )
         episodes.append(episode)
-        if episode.final_answer is not None:
-            em_total += exact_match(episode.final_answer, task.golds)
-            f1_total += f1_score(episode.final_answer, task.golds)
+        answer = episode.final_answer
+        if answer is not None:
+            em_total += exact_match(answer, task.golds)
+            f1_total += f1_score(answer, task.golds)
         calls_total += episode.route_count
         cost_total += episode.rewards.cost_raw
         for call in episode.calls:

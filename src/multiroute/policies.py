@@ -8,7 +8,6 @@ section, for the CLI and the HTTP service alike.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +21,6 @@ from .config import (
     check_path_value,
     config_path,
     read_json,
-    read_text,
 )
 from .engine import PolicyBackend
 from .pool import ChatEndpoint
@@ -145,12 +143,10 @@ def policy_factory(run: RunConfig):
         if not section.get("path"):
             raise ConfigError("params policy: 'path' is required")
         path = path_of("path")
-        text = read_text(path, "params policy")
+        data = read_json(path, "params policy")
         try:
-            params = PolicyParams.from_json(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"params policy {path}: invalid JSON: {exc}") from None
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            params = PolicyParams.from_record(data)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"params policy {path}: bad params file: {type(exc).__name__}: {exc}"
             )

@@ -138,6 +138,9 @@ class FormatRule(Enum):
     ROUTE_DIRECTIVE = "route_directive"
 
 
+_RULE_ORDER = tuple(FormatRule)
+
+
 @dataclass
 class Violation:
     rule: FormatRule
@@ -150,9 +153,14 @@ class Violation:
 
 @dataclass
 class FormatVerdict:
-    ok: bool
+    """The violations found, and the parsed trajectory unless parsing failed."""
+
     violations: list[Violation]
     trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     @property
     def violated_rules(self) -> set[FormatRule]:
@@ -236,7 +244,8 @@ def parse_route_directive(text: str, pool: "RoutingPool") -> tuple[str, str]:
 def validate_format(
     raw: str, lexicon: TagLexicon, pool: "RoutingPool"
 ) -> FormatVerdict:
-    """Check the five structural rules; returns all violations found.
+    """Check the five structural rules; returns all violations found, in
+    ``FormatRule`` order, then block order.
 
     A parse failure short-circuits to a single TAG_BALANCE violation since
     the remaining rules are defined over the block sequence.  Otherwise the
@@ -245,103 +254,86 @@ def validate_format(
     try:
         trajectory = parse_trajectory(raw, lexicon)
     except ParseFailure as exc:
-        return FormatVerdict(
-            ok=False,
-            violations=[Violation(FormatRule.TAG_BALANCE, str(exc), exc.offset)],
-        )
+        return FormatVerdict([Violation(FormatRule.TAG_BALANCE, str(exc), exc.offset)])
 
     violations: list[Violation] = []
-    blocks = trajectory.blocks
 
-    if not blocks:
-        violations.append(
-            Violation(FormatRule.STARTS_THINK_ENDS_ANSWER, "no blocks present", 0)
-        )
-    else:
-        if blocks[0].kind is not BlockKind.THINK:
-            violations.append(
-                Violation(
-                    FormatRule.STARTS_THINK_ENDS_ANSWER,
-                    f"first block is {blocks[0].kind.value}, not think",
-                    blocks[0].span[0],
-                )
-            )
-        if blocks[-1].kind is not BlockKind.ANSWER:
-            violations.append(
-                Violation(
-                    FormatRule.STARTS_THINK_ENDS_ANSWER,
-                    f"last block is {blocks[-1].kind.value}, not answer",
-                    blocks[-1].span[0],
-                )
-            )
-
-    think_count = sum(1 for b in blocks if b.kind is BlockKind.THINK)
-    answer_count = sum(1 for b in blocks if b.kind is BlockKind.ANSWER)
-    if think_count < 1 or answer_count != 1:
-        violations.append(
-            Violation(
-                FormatRule.THINK_ANSWER_COUNT,
-                f"need >=1 think and exactly 1 answer, "
-                f"got {think_count} think / {answer_count} answer",
-            )
-        )
+    def flag(rule: FormatRule, message: str, offset: int | None = None) -> None:
+        violations.append(Violation(rule, message, offset))
 
     # Every route must be answered by an info block before any other route
     # or answer block appears; think blocks may intervene.  Info blocks with
     # no pending route are orphans.
+    blocks = trajectory.blocks
+    think_count = answer_count = 0
     pending_route: Block | None = None
     for block in blocks:
-        if block.kind is BlockKind.ROUTE:
+        kind, at = block.kind, block.span[0]
+        if kind is BlockKind.THINK:
+            think_count += 1
+        elif kind is BlockKind.ROUTE:
             if pending_route is not None:
-                violations.append(
-                    Violation(
-                        FormatRule.ROUTE_INFO_PAIRING,
-                        "route issued while a previous route awaits its info block",
-                        block.span[0],
-                    )
+                flag(
+                    FormatRule.ROUTE_INFO_PAIRING,
+                    "route issued while a previous route awaits its info block",
+                    at,
                 )
             pending_route = block
-        elif block.kind is BlockKind.INFO:
+            try:
+                parse_route_directive(block.text, pool)
+            except DirectiveError as exc:
+                flag(FormatRule.ROUTE_DIRECTIVE, str(exc), at)
+        elif kind is BlockKind.INFO:
             if pending_route is None:
-                violations.append(
-                    Violation(
-                        FormatRule.ROUTE_INFO_PAIRING,
-                        "info block with no preceding route",
-                        block.span[0],
-                    )
+                flag(
+                    FormatRule.ROUTE_INFO_PAIRING,
+                    "info block with no preceding route",
+                    at,
                 )
             pending_route = None
-        elif block.kind is BlockKind.ANSWER and pending_route is not None:
-            violations.append(
-                Violation(
+        elif kind is BlockKind.ANSWER:
+            answer_count += 1
+            if pending_route is not None:
+                flag(
                     FormatRule.ROUTE_INFO_PAIRING,
                     "answer issued while a route awaits its info block",
-                    block.span[0],
+                    at,
                 )
-            )
-            pending_route = None
+                pending_route = None
     if pending_route is not None:
-        violations.append(
-            Violation(
-                FormatRule.ROUTE_INFO_PAIRING,
-                "trajectory ends while a route awaits its info block",
-                pending_route.span[0],
-            )
+        flag(
+            FormatRule.ROUTE_INFO_PAIRING,
+            "trajectory ends while a route awaits its info block",
+            pending_route.span[0],
         )
 
-    for block in blocks:
-        if block.kind is not BlockKind.ROUTE:
-            continue
-        try:
-            parse_route_directive(block.text, pool)
-        except DirectiveError as exc:
-            violations.append(
-                Violation(FormatRule.ROUTE_DIRECTIVE, str(exc), block.span[0])
+    if not blocks:
+        flag(FormatRule.STARTS_THINK_ENDS_ANSWER, "no blocks present", 0)
+    else:
+        first, last = blocks[0], blocks[-1]
+        if first.kind is not BlockKind.THINK:
+            flag(
+                FormatRule.STARTS_THINK_ENDS_ANSWER,
+                f"first block is {first.kind.value}, not think",
+                first.span[0],
+            )
+        if last.kind is not BlockKind.ANSWER:
+            flag(
+                FormatRule.STARTS_THINK_ENDS_ANSWER,
+                f"last block is {last.kind.value}, not answer",
+                last.span[0],
             )
 
-    return FormatVerdict(
-        ok=not violations, violations=violations, trajectory=trajectory
-    )
+    if think_count < 1 or answer_count != 1:
+        flag(
+            FormatRule.THINK_ANSWER_COUNT,
+            f"need >=1 think and exactly 1 answer, "
+            f"got {think_count} think / {answer_count} answer",
+        )
+
+    # Rule order, then block order: the sort is stable.
+    violations.sort(key=lambda v: _RULE_ORDER.index(v.rule))
+    return FormatVerdict(violations, trajectory)
 
 
 def loss_mask(trajectory: Trajectory) -> list[tuple[int, int]]:

@@ -100,7 +100,11 @@ class PolicyParams:
 
     @classmethod
     def from_json(cls, text: str) -> "PolicyParams":
-        data = json.loads(text)
+        return cls.from_record(json.loads(text))
+
+    @classmethod
+    def from_record(cls, data) -> "PolicyParams":
+        """Params from the parsed JSON of a params file."""
         try:
             weights = np.asarray(data["weights"], dtype=float)
         except ValueError:

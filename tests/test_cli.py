@@ -916,6 +916,18 @@ BAD_INPUTS = [
         id="config-is-directory",
     ),
     pytest.param(
+        _with_dir(_sim_backend(kb_path="adir")),
+        "pool model #0",
+        "[Errno 21] Is a directory: '{dir}/adir'",
+        id="kb-path-is-directory",
+    ),
+    pytest.param(
+        _sim_backend(kb_path="no_kb.jsonl"),
+        "pool model #0",
+        "[Errno 2] No such file or directory: '{dir}/no_kb.jsonl'",
+        id="kb-path-missing",
+    ),
+    pytest.param(
         _with_dir(_eval_into("adir")),
         "{dir}/adir",
         "Is a directory",
@@ -1086,8 +1098,18 @@ BAD_INPUTS = [
             "deep.json", _top_level(policy={"kind": "params", "path": "deep.json"})
         ),
         "params policy {dir}/deep.json",
-        "bad params file: RecursionError",
+        "invalid JSON: maximum recursion depth exceeded",
         id="params-file-nested-too-deep",
+    ),
+    pytest.param(
+        _with_bytes(
+            "huge.json",
+            b'{"feature_dim": ' + b"1" * 5000 + b"}",
+            _top_level(policy={"kind": "params", "path": "huge.json"}),
+        ),
+        "params policy {dir}/huge.json",
+        "invalid JSON: Exceeds the limit (4300 digits)",
+        id="params-file-huge-int",
     ),
     pytest.param(
         _top_level(eval_warmup_costs=[True, False]),

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import multiroute.engine as engine
+import multiroute.pool as pool_module
 import multiroute.protocol as protocol
 from multiroute.engine import (
     NO_ASSISTANCE_TEXT,
@@ -732,7 +733,7 @@ def test_episode_record_bytes_match_golden_hash(case_pool):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_EPISODE_SHA256
 
 
-def _episode_at_endpoint(monkeypatch, url):
+def _episode_at_endpoint(monkeypatch, url, config=EngineConfig()):
     """Run one episode that routes once to an HTTP backend at ``url``."""
     monkeypatch.setenv("MULTIROUTE_API_URL", url)
     pool = RoutingPool(
@@ -744,7 +745,7 @@ def _episode_at_endpoint(monkeypatch, url):
             "<think>t</think><answer>unknown</answer>",
         ]
     )
-    return run_episode("Q?", ["x"], policy, pool, _window())
+    return run_episode("Q?", ["x"], policy, pool, _window(), config)
 
 
 def test_unusable_endpoint_url_becomes_zero_cost_error_call(monkeypatch):
@@ -780,6 +781,31 @@ def test_hostile_endpoint_url_becomes_zero_cost_error_call(monkeypatch, url):
     assert call.error
     assert call.output_tokens == 0 and call.cost == 0.0
     assert NO_ASSISTANCE_TEXT in episode.raw_trajectory
+    assert episode.verdict.ok
+
+
+def test_https_url_at_a_plain_http_server_becomes_zero_cost_error_call(monkeypatch):
+    # The TLS handshake fails on each of the two attempts, or times out if
+    # the server is still waiting for the end of a request line.
+    server = start_scripted_server()
+    attempts = []
+    post = pool_module._post
+    monkeypatch.setattr(
+        pool_module, "_post", lambda *args: attempts.append(args) or post(*args)
+    )
+    url = server.url.replace("http://", "https://", 1)
+    try:
+        episode = _episode_at_endpoint(
+            monkeypatch, url, EngineConfig(timeout_ms=1000)
+        )
+    finally:
+        stop_server(server)
+    (call,) = episode.calls
+    assert len(attempts) == 2
+    assert server.received == []
+    assert call.model_id == "r" and call.error
+    assert call.output_tokens == 0 and call.cost == 0.0
+    assert call.response_text == NO_ASSISTANCE_TEXT
     assert episode.verdict.ok
 
 
