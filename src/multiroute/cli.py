@@ -4,7 +4,8 @@ Subcommands: route (one question), eval (task file -> metrics), train
 (task file -> params + metric series), reward-check (recompute rewards for
 logged trajectories), serve (HTTP service).  Flags override config-file
 values, which override defaults.  Exit code 2 flags config or input-file
-problems; exit code 1 flags a policy endpoint that failed.
+problems; exit code 1 flags a policy that failed: an endpoint, or a
+decision whose action probabilities are not finite.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .serve import (
     Router,
     serve_forever,
 )
-from .trainer import check_feature_dim, train
+from .trainer import NonFiniteDecisionError, check_feature_dim, train
 
 
 class CliError(Exception):
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if "." in k or k == "seed"}
     try:
         return args.func(args, load_run_config(args.config, overrides))
-    except (BackendError, BackendTimeout) as exc:
+    except (BackendError, BackendTimeout, NonFiniteDecisionError) as exc:
         print(f"error: policy: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, LineError, CliError) as exc:

@@ -14,7 +14,6 @@ frozen copy of the initial policy as the KL reference.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import zlib
@@ -160,8 +159,25 @@ def featurize(
     The last ``max_steps + 1`` slots encode the current round (clamped), the
     rest accumulate crc32-hashed lowercase token counts.
     """
-    features = _word_counts(question, feature_dim, max_steps).copy()
-    features[feature_dim - (max_steps + 1) + min(step_index, max_steps)] = 1.0
+    row = min(step_index, max_steps)
+    return _table_features([question], feature_dim, max_steps, row, row + 1)[0]
+
+
+def _table_features(
+    questions: Sequence[str], feature_dim: int, max_steps: int, start: int, stop: int
+) -> np.ndarray:
+    """Rows ``start..stop`` of `featurize` of each question at rounds
+    ``0..max_steps``, the questions one after another: row ``r`` is
+    question ``r // (max_steps + 1)`` at round ``r % (max_steps + 1)``."""
+    rounds = max_steps + 1
+    features = np.empty((stop - start, feature_dim))
+    for position in range(start // rounds, (stop - 1) // rounds + 1):
+        first = max(position * rounds, start) - start
+        last = min((position + 1) * rounds, stop) - start
+        features[first:last] = _word_counts(questions[position], feature_dim, max_steps)
+    rows = np.arange(start, stop)
+    # The round slots of the word counts are 0.0.
+    features[rows - start, feature_dim - rounds + rows % rounds] = 1.0
     return features
 
 
@@ -188,34 +204,36 @@ def _word_counts(question: str, feature_dim: int, max_steps: int) -> np.ndarray:
     return features
 
 
-def action_distribution(params: PolicyParams, features: np.ndarray) -> np.ndarray:
-    logits = features @ params.weights / params.temperature
-    logits = logits - logits.max()
-    exp = np.exp(logits)
-    return exp / exp.sum()
+class NonFiniteDecisionError(ValueError):
+    """A decision's action probabilities are not finite."""
 
 
-def sample_action(
-    params: PolicyParams, features: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Sample an action index; returns (index, full probability vector).
+def _decision_rows(
+    params: PolicyParams, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The action probabilities of each row of ``features`` and the
+    cumulative distribution ``Generator.choice`` builds from them: the
+    running sum of ``p / p.sum()``, divided by its last entry.
 
-    The draw is ``rng.choice(len(probs), p=probs / probs.sum())`` done
-    inline with numpy's own algorithm: one double from ``rng``, the same
-    index and the same generator state afterwards.
-
-    Raises:
-        ValueError: the probabilities are not finite.
+    Each row rounds as it would on its own.  A row that overflows comes out
+    NaN without a warning; a decision that draws from it raises.
     """
-    probs = action_distribution(params, features)
-    # numpy's cumsum, divide and right-side search in Python floats: the
-    # same additions in the same order, at a fraction of the call cost.
-    cdf = list(itertools.accumulate((probs / probs.sum()).tolist()))
-    total = cdf[-1]
-    if not math.isfinite(total):
-        raise ValueError("action probabilities are not finite")
-    index = bisect.bisect_right([value / total for value in cdf], rng.random())
-    return index, probs
+    with np.errstate(all="ignore"):
+        logits = _row_logits(features, params.weights, params.temperature)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        return probs, cdfs / cdfs[:, -1:]
+
+
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """The action index ``Generator.choice`` takes from a `_decision_rows`
+    distribution."""
+    # The last entry is the total over itself: 1.0, or NaN unless the
+    # total is finite.
+    if not math.isfinite(cdf[-1]):
+        raise NonFiniteDecisionError("action probabilities are not finite")
+    return bisect.bisect_right(cdf, rng.random())
 
 
 @dataclass
@@ -224,6 +242,65 @@ class DecisionStep:
     action: int
     # The distribution the action was sampled from, kept for the entropy.
     probs: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+
+class DecisionTable:
+    """Every distribution the decisions of a run of episodes can draw from.
+
+    Episode ``position`` asks ``questions[position]``.  Under fixed params a
+    decision depends only on the question and the round, clamped to
+    ``max_steps``, so row ``(max_steps + 1) * position + round`` of the
+    table serves every decision of that episode at that round.  The table
+    computes its rows as one array pass, in blocks of about
+    ``_BLOCK_BYTES`` of features: each block is built from the first row a
+    draw needs that the current block lacks, and only one is kept.  Each
+    row is bit for bit the distribution of that decision computed on its
+    own, and `draw` takes numpy's ``Generator.choice`` draw from it.
+    """
+
+    def __init__(
+        self, params: PolicyParams, questions: Sequence[str], max_steps: int
+    ):
+        self.params = params
+        self.questions = questions
+        self.max_steps = max_steps
+        self._start = self._stop = 0
+        self._features: Optional[np.ndarray] = None
+        self._probs: Optional[np.ndarray] = None
+        self._cdfs: list[list[float]] = []
+
+    def draw(
+        self, position: int, round_index: int, rng: np.random.Generator
+    ) -> DecisionStep:
+        """Sample episode ``position``'s decision at ``round_index``.
+
+        Raises:
+            ValueError: ``feature_dim`` leaves no word slot.
+            NonFiniteDecisionError: the row's probabilities are not finite.
+        """
+        row = (self.max_steps + 1) * position + min(round_index, self.max_steps)
+        if not self._start <= row < self._stop:
+            self._build(row)
+        row -= self._start
+        index = _draw(self._cdfs[row], rng)
+        # A copy of its own, so the block can go once the next is built.
+        return DecisionStep(self._features[row].copy(), index, self._probs[row])
+
+    def _build(self, row: int) -> None:
+        """Make the block of the rows from ``row`` on current."""
+        feature_dim = self.params.feature_dim
+        check_feature_dim(feature_dim, self.max_steps)  # before dividing by it
+        self._features = None  # the old block goes before the new one comes
+        self._start = row
+        self._stop = min(
+            row + max(1, _BLOCK_BYTES // (feature_dim * 8)),
+            (self.max_steps + 1) * len(self.questions),
+        )
+        self._features = _table_features(
+            self.questions, feature_dim, self.max_steps, self._start, self._stop
+        )
+        self._probs, cdfs = _decision_rows(self.params, self._features)
+        self._cdfs = cdfs.tolist()
 
 
 @dataclass
@@ -240,6 +317,11 @@ class LearnedRoutingPolicy(PolicyBackend):
     Each generate call absorbs any new info blocks from the context delta,
     then either emits a route directive for the sampled model or answers by
     joining the distinct helpful replies seen so far (first lines only).
+
+    Decisions are drawn from row ``position`` of ``table``, a
+    `DecisionTable` over the same params and ``max_steps`` whose question
+    there is ``question``; a training step shares one across its episodes.
+    Without one, the first decision builds a one-question table.
     """
 
     def __init__(
@@ -250,6 +332,8 @@ class LearnedRoutingPolicy(PolicyBackend):
         rng: np.random.Generator,
         lexicon: TagLexicon,
         max_steps: int = EngineConfig.max_routing_steps,
+        table: Optional[DecisionTable] = None,
+        position: int = 0,
     ):
         self.params = params
         self.question = question
@@ -258,6 +342,8 @@ class LearnedRoutingPolicy(PolicyBackend):
         self.lexicon = lexicon
         self.max_steps = max_steps
         self.decisions: list[DecisionStep] = []
+        self._table = table
+        self._position = position
         self._prev_context_len: Optional[int] = None
         self._facts: list[str] = []
 
@@ -273,11 +359,11 @@ class LearnedRoutingPolicy(PolicyBackend):
         if answer_only:
             return self._emit_answer()
 
-        features = featurize(
-            self.question, len(self.decisions), self.params.feature_dim, self.max_steps
-        )
-        index, probs = sample_action(self.params, features, self.rng)
-        self.decisions.append(DecisionStep(features, index, probs))
+        if self._table is None:
+            self._table = DecisionTable(self.params, [self.question], self.max_steps)
+        decision = self._table.draw(self._position, len(self.decisions), self.rng)
+        self.decisions.append(decision)
+        index = decision.action
         if self.params.actions[index] == ANSWER_ACTION:
             return self._emit_answer()
         model = self.pool.get(self.params.actions[index])
@@ -501,8 +587,13 @@ def rollout(
     engine_config: EngineConfig,
     reward_config: RewardConfig,
     rng: np.random.Generator,
+    table: Optional[DecisionTable] = None,
+    position: int = 0,
 ) -> tuple[Episode, EpisodeSample]:
-    """Run one training episode and package it for the gradient step."""
+    """Run one training episode and package it for the gradient step.
+
+    ``table`` and ``position`` are as for `LearnedRoutingPolicy`.
+    """
     policy = LearnedRoutingPolicy(
         params,
         question,
@@ -510,6 +601,8 @@ def rollout(
         rng,
         engine_config.lexicon,
         max_steps=engine_config.max_routing_steps,
+        table=table,
+        position=position,
     )
     episode = run_episode(
         question, golds, policy, pool, window, engine_config, reward_config
@@ -562,8 +655,18 @@ def train(
         step_probs: list[np.ndarray] = []
         call_counts: dict[str, int] = {d.id: 0 for d in pool}
         total_calls = 0
-        for i in range(config.batch_size):
-            task = tasks[(step * config.batch_size + i) % len(tasks)]
+        step_tasks = [
+            tasks[(step * config.batch_size + i) % len(tasks)]
+            for i in range(config.batch_size)
+        ]
+        # Built block by block as the episodes reach it, the first block
+        # inside the first episode.
+        table = DecisionTable(
+            params,
+            [task.question for task in step_tasks],
+            engine_config.max_routing_steps,
+        )
+        for i, task in enumerate(step_tasks):
             episode, sample = rollout(
                 params,
                 task.question,
@@ -573,6 +676,8 @@ def train(
                 engine_config,
                 reward_config,
                 rng,
+                table=table,
+                position=i,
             )
             batch.append(sample)
             costs.append(episode.rewards.cost_raw)

@@ -1724,6 +1724,38 @@ def test_unusable_policy_url_exits_1_with_one_error_line(
     )
 
 
+# A params file that passes every load check, whose decisions overflow:
+# a weight over a temperature of 1e-320 is infinite, and every logit with it.
+OVERFLOWING_PARAMS = {"temperature": 1e-320, "weights": [[1.0] * 3] * 64}
+
+
+def _eval_with_params(**values):
+    """argv for `eval` of the workdir tasks under ``_with_params``' policy."""
+
+    def build(workdir):
+        route_argv = _with_params(**values)(workdir)
+        return [
+            "eval", "--config", route_argv[2], "--tasks", str(workdir / "tasks.jsonl")
+        ]
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_with_params(**OVERFLOWING_PARAMS), id="route"),
+        pytest.param(_eval_with_params(**OVERFLOWING_PARAMS), id="eval"),
+    ],
+)
+def test_non_finite_decision_exits_1_with_one_error_line(workdir, capsys, argv):
+    code = main(argv(workdir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: policy: action probabilities are not finite\n"
+
+
 def test_unsendable_policy_key_exits_1_without_showing_it(workdir, capsys, monkeypatch):
     monkeypatch.setenv("MULTIROUTE_POLICY_URL", "http://127.0.0.1:9/")
     monkeypatch.setenv("MULTIROUTE_POLICY_KEY", "s3cr3t\nvalue")

@@ -201,6 +201,29 @@ def test_episode_failure_returns_500(tmp_path, monkeypatch):
         instance.server_close()
 
 
+def test_non_finite_decision_returns_500(tmp_path):
+    models = ["llama-3.1-70b-instruct", "mistral-7b-instruct"]
+    params = PolicyParams(16, (*models, "answer"), np.ones((16, 3)), 1e-320)
+    (tmp_path / "params.json").write_text(params.to_json())
+    run = _run_config(tmp_path, policy={"kind": "params", "path": "params.json"})
+    instance = build_server(run, "127.0.0.1", 0)
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
+    thread.start()
+    try:
+        response = requests.post(
+            f"http://127.0.0.1:{instance.server_port}/route",
+            json={"question": FILM_Q},
+            timeout=5,
+        )
+        assert response.status_code == 500
+        assert response.json() == {"error": "action probabilities are not finite"}
+    finally:
+        instance.shutdown()
+        instance.server_close()
+
+
 @pytest.mark.parametrize(
     "length, status",
     [("-1", 400), ("ten", 400), (str(MAX_BODY_BYTES + 1), 413)],

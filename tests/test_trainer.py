@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,18 +27,18 @@ from multiroute.trainer import (
     ABSTAIN_TEXT,
     ANSWER_ACTION,
     DecisionStep,
+    DecisionTable,
     EpisodeSample,
     LearnedRoutingPolicy,
+    NonFiniteDecisionError,
     PolicyParams,
     SyntheticTask,
     TrainConfig,
-    action_distribution,
     featurize,
     knowledge_bases_for,
     make_synthetic_tasks,
     policy_gradient_step,
     rollout,
-    sample_action,
     surrogate_gradient,
     surrogate_objective,
     train,
@@ -126,37 +130,39 @@ def test_params_copy_is_deep_for_weights():
     assert params.weights[0, 0] == 0.0
 
 
+def _first_decision(params, question, rng=None):
+    """The first decision of a one-question table."""
+    table = DecisionTable(params, [question], EngineConfig.max_routing_steps)
+    return table.draw(0, 0, rng or np.random.default_rng(0))
+
+
 def test_uniform_distribution_at_zero_weights():
     params = PolicyParams.initial(32, _two_model_pool())
-    probs = action_distribution(params, featurize("q", 0, 32))
+    probs = _first_decision(params, "q").probs
     assert probs.shape == (3,)
     assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
 def test_temperature_flattens_distribution():
     pool = _two_model_pool()
-    features = featurize("which model?", 0, 32)
     sharp = PolicyParams.initial(32, pool, temperature=0.25)
     flat = PolicyParams.initial(32, pool, temperature=4.0)
     for params in (sharp, flat):
         params.weights[:, 0] = 0.5
-    p_sharp = action_distribution(sharp, features)
-    p_flat = action_distribution(flat, features)
+    p_sharp = _first_decision(sharp, "which model?").probs
+    p_flat = _first_decision(flat, "which model?").probs
     assert p_sharp[0] > p_flat[0] > 1 / 3
 
 
 def test_sample_action_is_seed_deterministic():
     params = PolicyParams.initial(32, _two_model_pool())
     params.weights[:, 2] = 0.3
-    features = featurize("pick", 0, 32)
-    draws_a = [
-        sample_action(params, features, np.random.default_rng(42))[0]
-        for _ in range(1)
-    ]
+    draws_a = [_first_decision(params, "pick", np.random.default_rng(42)).action]
+    table = DecisionTable(params, ["pick"] * 20, EngineConfig.max_routing_steps)
     rng_b = np.random.default_rng(42)
     rng_c = np.random.default_rng(42)
-    seq_b = [sample_action(params, features, rng_b)[0] for _ in range(20)]
-    seq_c = [sample_action(params, features, rng_c)[0] for _ in range(20)]
+    seq_b = [table.draw(i, 0, rng_b).action for i in range(20)]
+    seq_c = [table.draw(i, 0, rng_c).action for i in range(20)]
     assert seq_b == seq_c
     assert draws_a[0] == seq_b[0]
     assert set(seq_b) <= {0, 1, 2}
@@ -177,7 +183,9 @@ def test_sample_action_draws_like_generator_choice():
             tuple(f"a{i}" for i in range(n_actions)),
             spec_rng.normal(scale=scale, size=(feature_dim, n_actions)),
         )
-        index, probs = sample_action(params, features, ours)
+        probs, cdfs = trainer._decision_rows(params, features[None, :])
+        probs = probs[0]
+        index = trainer._draw(cdfs[0].tolist(), ours)
         expected = int(theirs.choice(len(probs), p=probs / probs.sum()))
         assert index == expected, trial
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -187,8 +195,8 @@ def test_sample_action_draws_like_generator_choice():
 def test_sample_action_rejects_non_finite_weights(value):
     params = PolicyParams.initial(16, _two_model_pool())
     params.weights[:, 0] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        sample_action(params, featurize("pick", 0, 16), np.random.default_rng(0))
+    with pytest.raises(NonFiniteDecisionError):
+        _first_decision(params, "pick")
 
 
 def test_decision_step_probs_stay_out_of_eq_and_repr():
@@ -311,7 +319,7 @@ def test_gradient_ascent_separates_good_from_bad_action():
     baseline = 0.0
     history = []
     for _ in range(25):
-        history.append(action_distribution(params, features)[0])
+        history.append(_loop_distribution(params, features)[0])
         params, baseline = policy_gradient_step(
             params, batch, reference, config, baseline=0.0
         )
@@ -482,6 +490,207 @@ def test_gradient_memory_stays_bounded_on_a_large_batch(beta):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the decision table
+# ---------------------------------------------------------------------------
+
+
+def _loop_features(question, round_index, feature_dim, max_steps):
+    """`featurize` as one decision's own vector: the question's word counts
+    with its round's slot set."""
+    features = trainer._word_counts(question, feature_dim, max_steps).copy()
+    features[feature_dim - (max_steps + 1) + min(round_index, max_steps)] = 1.0
+    return features
+
+
+def _loop_distribution(params, features):
+    """One decision's action probabilities as its own vector operations."""
+    logits = features @ params.weights / params.temperature
+    logits = logits - logits.max()
+    exp = np.exp(logits)
+    return exp / exp.sum()
+
+
+def _loop_sample(params, features, rng):
+    """One decision's draw on its own: numpy's ``Generator.choice``
+    algorithm in Python floats."""
+    probs = _loop_distribution(params, features)
+    cdf = list(itertools.accumulate((probs / probs.sum()).tolist()))
+    total = cdf[-1]
+    if not math.isfinite(total):
+        raise ValueError("action probabilities are not finite")
+    return bisect.bisect_right([value / total for value in cdf], rng.random()), probs
+
+
+WORDS = ("color", "shape", "of", "the", "lantern", "torus", "what", "is", "a")
+
+
+@pytest.mark.parametrize("temperature", [0.25, 1.0, 4.0])
+def test_table_rows_and_draws_match_the_decision_loop(monkeypatch, temperature):
+    """Rows equal `featurize` and the per-decision softmax byte for byte,
+    rounds past ``max_steps`` included, and the draws take the same indices
+    and leave the generator in the same state, across blocks."""
+    monkeypatch.setattr(trainer, "_BLOCK_BYTES", 6000)
+    spec = np.random.default_rng(int(temperature * 8))
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    draws = 0
+    for trial in range(60):
+        feature_dim = int(spec.integers(8, 257))
+        n_actions = int(spec.integers(2, 10))
+        max_steps = int(spec.integers(1, 6))
+        scale = (0.1, 3.0, 40.0, 400.0)[trial % 4]
+        params = PolicyParams(
+            feature_dim,
+            tuple(f"a{i}" for i in range(n_actions)),
+            spec.normal(scale=scale, size=(feature_dim, n_actions)),
+            temperature,
+        )
+        questions = [
+            " ".join(spec.choice(WORDS, size=int(spec.integers(1, 8))))
+            for _ in range(int(spec.integers(1, 30)))
+        ]
+        table = DecisionTable(params, questions, max_steps)
+        for position, question in enumerate(questions):
+            for round_index in range(int(spec.integers(1, max_steps + 4))):
+                step = table.draw(position, round_index, ours)
+                features = _loop_features(
+                    question, round_index, feature_dim, max_steps
+                )
+                index, probs = _loop_sample(params, features, theirs)
+                assert step.features.tobytes() == features.tobytes()
+                assert featurize(
+                    question, round_index, feature_dim, max_steps
+                ).tobytes() == features.tobytes()
+                assert step.probs.tobytes() == probs.tobytes(), trial
+                assert step.action == index, trial
+                draws += 1
+    assert draws > 500
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _params_that_overflow_on(word, feature_dim=16, max_steps=4):
+    """Params whose logits are infinite for questions holding ``word`` and
+    zero for the others."""
+    params = PolicyParams.initial(feature_dim, _two_model_pool(), 1e-300)
+    slot = np.flatnonzero(trainer._word_counts(word, feature_dim, max_steps))[0]
+    params.weights[slot, 0] = 1e10
+    return params
+
+
+def test_a_non_finite_row_raises_only_when_drawn():
+    params = _params_that_overflow_on("boom")
+    questions = ["calm words", "boom words", "calm again"]
+    table = DecisionTable(params, questions, 4)
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = table.draw(0, 0, rng)
+        assert table.draw(2, 6, rng).probs.tolist() == first.probs.tolist()
+        state = rng.bit_generator.state
+        with pytest.raises(NonFiniteDecisionError, match="^action probabilities"):
+            table.draw(1, 0, rng)
+    assert rng.bit_generator.state == state  # no double was taken
+    assert issubclass(NonFiniteDecisionError, ValueError)
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        _loop_sample(params, featurize("boom words", 0, 16), rng)
+
+
+def test_table_work_waits_for_the_first_episode(monkeypatch):
+    events = []
+    in_episode = []
+    original_build = trainer.DecisionTable._build
+    original_episode = trainer.run_episode
+
+    def build(self, row):
+        events.append(("build", bool(in_episode)))
+        return original_build(self, row)
+
+    def episode(*args, **kwargs):
+        events.append(("episode", False))
+        in_episode.append(True)
+        try:
+            return original_episode(*args, **kwargs)
+        finally:
+            in_episode.pop()
+
+    monkeypatch.setattr(trainer.DecisionTable, "_build", build)
+    monkeypatch.setattr(trainer, "run_episode", episode)
+    pool, tasks = _task_pool_and_tasks()
+    train(tasks, pool, TrainConfig(steps=2, batch_size=3, feature_dim=16))
+    assert events[:2] == [("episode", False), ("build", True)]
+    assert [event for event in events if event[0] == "build"] == [("build", True)] * 2
+
+    events.clear()
+    policy = LearnedRoutingPolicy(
+        PolicyParams.initial(16, pool), "q?", pool, np.random.default_rng(0),
+        DEFAULT_LEXICON,
+    )
+    policy.generate("ctx", ["</answer>"], 128)
+    assert events == []
+    policy.generate("ctx", ["</search>", "</answer>"], 128)
+    assert events == [("build", False)]
+
+
+def test_adapter_raises_at_the_decision_that_draws_a_non_finite_row():
+    pool = _two_model_pool()
+    policy = LearnedRoutingPolicy(
+        _params_that_overflow_on("boom"), "boom words", pool, np.random.default_rng(0),
+        DEFAULT_LEXICON,
+    )
+    policy.generate("ctx", ["</answer>"], 128)
+    with pytest.raises(NonFiniteDecisionError):
+        policy.generate("ctx", ["</search>", "</answer>"], 128)
+    assert policy.decisions == []
+
+
+def _eight_model_pool_and_tasks(n_tasks):
+    tasks = make_synthetic_tasks(n_tasks, "m0", "m1", seed=8, two_fact_ratio=0.5)
+    kbs = knowledge_bases_for(tasks)
+    pool = RoutingPool(
+        [
+            ModelDescriptor(
+                f"m{i}", f"Model-{i}", 7 + i, 0.1 * (i + 1), f"model {i}",
+                SimulatedBackend(SimulatedProfile(
+                    knowledge_base=kbs.get(f"m{i}", {}), verbosity=8, seed=i,
+                )),
+            )
+            for i in range(8)
+        ]
+    )
+    return pool, tasks
+
+
+def test_training_step_memory_stays_bounded_on_a_large_batch(monkeypatch):
+    """One step of 320 episodes, 2,048 features and 9 actions.  Beyond the
+    features each decision keeps, it holds the word-count memo (4 MiB at
+    most), one table block and the gradient's blocks.  A table whose
+    decisions kept views of it would hold every block, 25 MiB, to the end
+    of the step."""
+    samples = []
+    original_rollout = trainer.rollout
+
+    def recorded_rollout(*args, **kwargs):
+        episode, sample = original_rollout(*args, **kwargs)
+        samples.append(sample)
+        return episode, sample
+
+    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    pool, tasks = _eight_model_pool_and_tasks(320)
+    config = TrainConfig(steps=1, batch_size=320, feature_dim=2048, seed=1)
+    tracemalloc.start()
+    try:
+        train(tasks, pool, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(step.features.nbytes for sample in samples for step in sample.steps)
+    assert len(samples) == 320 and kept > 10 * 2**20
+    assert all(
+        step.features.base is None for sample in samples for step in sample.steps
+    )
+    assert peak < kept + 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -719,27 +928,74 @@ def test_train_bytes_match_golden_hash():
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_TRAIN_SHA256
 
 
-def test_train_runs_one_softmax_per_decision(monkeypatch):
-    softmaxes, samples = [], []
-    original_distribution = trainer.action_distribution
-    original_rollout = trainer.rollout
+def test_train_builds_one_table_per_step(monkeypatch):
+    """Each step's table is one block here: one pass over the four
+    questions of the batch at rounds 0 to 4, for every decision of the
+    step."""
+    built = []
+    original = trainer._decision_rows
 
-    def counted_distribution(params, features):
-        softmaxes.append(1)
-        return original_distribution(params, features)
+    def counted(params, features):
+        built.append(features.shape)
+        return original(params, features)
 
-    def recorded_rollout(*args, **kwargs):
-        episode, sample = original_rollout(*args, **kwargs)
-        samples.append(sample)
-        return episode, sample
-
-    monkeypatch.setattr(trainer, "action_distribution", counted_distribution)
-    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    monkeypatch.setattr(trainer, "_decision_rows", counted)
     pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
     train(tasks, pool, TrainConfig(steps=3, batch_size=4, feature_dim=16, seed=4))
-    decisions = sum(len(sample.steps) for sample in samples)
-    assert decisions >= len(samples) == 12
-    assert len(softmaxes) == decisions
+    assert built == [(4 * 5, 16)] * 3
+
+
+def test_train_builds_table_blocks_as_its_episodes_reach_them(monkeypatch):
+    """At 2,048 features a block holds 64 rows, so the 150 rows of a batch
+    of 30 at rounds 0 to 4 take three blocks.  Each starts at the first row
+    a draw needs beyond the one before, and the last stops at the batch's
+    end."""
+    built = []
+    original = trainer.DecisionTable._build
+
+    def build(self, row):
+        original(self, row)
+        built.append((self._start, self._stop, self._features.shape))
+
+    monkeypatch.setattr(trainer.DecisionTable, "_build", build)
+    pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
+    assert trainer._BLOCK_BYTES // (2048 * 8) == 64
+    train(tasks, pool, TrainConfig(steps=2, batch_size=30, feature_dim=2048))
+    assert len(built) == 3 * 2
+    for step in (built[:3], built[3:]):
+        assert step[0][0] == 0 and step[-1][1] == 30 * 5
+        assert all(
+            start >= previous_stop
+            for (_, previous_stop, _), (start, _, _) in zip(step, step[1:])
+        )
+        assert all(
+            shape == (stop - start, 2048) and stop - start <= 64
+            for start, stop, shape in step
+        )
+
+
+def test_a_one_question_table_keeps_one_block_of_its_rounds():
+    """A question with 1,001 rounds at 2,048 features has 16 MiB of rows; a
+    draw holds one 1 MiB block of them, and a round past ``max_steps``
+    builds the last row alone."""
+    params = PolicyParams.initial(2048, _two_model_pool())
+    table = DecisionTable(params, ["what is the colour?"], 1000)
+    rng = np.random.default_rng(0)
+    trainer._word_counts("what is the colour?", 2048, 1000)  # memo outside
+    tracemalloc.start()
+    try:
+        table.draw(0, 0, rng)
+        table.draw(0, 63, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trainer._BLOCK_BYTES + 2**17
+    assert (table._start, table._stop) == (0, 64)
+    last = table.draw(0, 5000, rng)
+    assert (table._start, table._stop) == (1000, 1001)
+    assert last.features.tobytes() == featurize(
+        "what is the colour?", 1000, 2048, 1000
+    ).tobytes()
 
 
 @pytest.mark.parametrize("beta, per_step", [(0.0, 1), (0.01, 2)])
@@ -800,7 +1056,7 @@ def test_adapter_features_equal_featurize_each_round():
         expected = featurize(question, round_index, 32)
         assert np.array_equal(decision.features, expected)
         assert np.array_equal(
-            decision.probs, action_distribution(params, expected)
+            decision.probs, _loop_distribution(params, expected)
         )
 
 
