@@ -254,27 +254,52 @@ def _handle_route(
         cost=0.0,
         latency_ms=0.0,
         error=str(error),
+        response_tokens=token_count(notice),
+    )
+
+
+def _glued(left: str, right: str) -> bool:
+    """Whether the last word of ``left`` and the first word of ``right``
+    become one word when the two are joined."""
+    return bool(left and right) and not (left[-1].isspace() or right[0].isspace())
+
+
+def _info_block_tokens(
+    info_text: str, info_tokens: int, lexicon: TagLexicon
+) -> int:
+    """``token_count`` of the info block that holds ``info_text``, given the
+    text's own count, read off the characters at the two joins.  An empty
+    text lets the two tags join each other."""
+    open_tag, close_tag = lexicon.info_open, lexicon.info_close
+    return (
+        token_count(open_tag)
+        + token_count(close_tag)
+        + info_tokens
+        - _glued(open_tag, info_text)
+        - _glued(info_text or open_tag, close_tag)
     )
 
 
 def _fit_info_to_budget(
-    info_text: str, context_tokens: int, config: EngineConfig, lexicon: TagLexicon
+    info_text: str,
+    info_tokens: int,
+    context_tokens: int,
+    config: EngineConfig,
+    lexicon: TagLexicon,
 ) -> tuple[str, int]:
     """Trim info content so the full context stays under the sequence cap.
 
-    ``context_tokens`` counts the context the block joins.  Returns the block
-    and its own token count.
+    ``info_tokens`` counts ``info_text`` and ``context_tokens`` the context
+    the block joins.  Returns the block and its own token count.
     """
     while True:
-        block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
-        block_tokens = token_count(block)
+        block_tokens = _info_block_tokens(info_text, info_tokens, lexicon)
         overflow = context_tokens + block_tokens - config.max_sequence_tokens
-        if overflow <= 0:
+        if overflow <= 0 or info_tokens == 0:
+            block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
             return block, block_tokens
-        words = info_text.split()
-        if not words:
-            return block, block_tokens
-        info_text = " ".join(words[: max(0, len(words) - overflow)])
+        info_tokens = max(0, info_tokens - overflow)
+        info_text = " ".join(info_text.split()[:info_tokens])
 
 
 def score_episode(
@@ -379,7 +404,11 @@ def run_episode(
         record = _handle_route(interior, pool, config)
         calls.append(record)
         block, block_tokens = _fit_info_to_budget(
-            record.response_text, context_tokens, config, lexicon
+            record.response_text,
+            record.response_tokens,
+            context_tokens,
+            config,
+            lexicon,
         )
         trajectory_text += block
         context_tokens += block_tokens

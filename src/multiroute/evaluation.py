@@ -185,11 +185,6 @@ def report(summary: MetricsSummary, fmt: str = "table") -> str:
     return "\n".join(lines)
 
 
-def parse_report(text: str) -> MetricsSummary:
-    """Invert `report(..., fmt="machine")`."""
-    return MetricsSummary.from_record(json.loads(text))
-
-
 def write_episode_log(path: str, episodes: Sequence[Episode]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for episode in episodes:

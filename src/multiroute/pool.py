@@ -440,6 +440,9 @@ class CallRecord:
 
     ``error`` is None for completed calls; failed calls carry zero tokens and
     zero cost so an episode's spend audit only counts delivered responses.
+    ``response_tokens`` is the whitespace count of ``response_text``, taken
+    where the text was made, so the engine need not count it again; it is
+    left out of records and comparisons.
     """
 
     model_id: str
@@ -449,9 +452,12 @@ class CallRecord:
     cost: float
     latency_ms: float
     error: Optional[str] = None
+    response_tokens: int = field(kw_only=True, repr=False, compare=False)
 
     def to_record(self) -> dict:
-        return dict(vars(self))
+        record = dict(vars(self))
+        del record["response_tokens"]
+        return record
 
 
 def render_assist_prompt(sub_query: str) -> str:
@@ -488,7 +494,7 @@ def dispatch(
     measured = token_count(text)
     if measured > max_api_response_tokens:
         text = truncate_tokens(text, max_api_response_tokens)
-        tokens = max_api_response_tokens
+        measured = tokens = max_api_response_tokens
     elif (
         reported_tokens is not None
         and 0 <= reported_tokens <= max_api_response_tokens
@@ -503,6 +509,7 @@ def dispatch(
         output_tokens=tokens,
         cost=descriptor.cost_per_token * tokens,
         latency_ms=reported_latency if reported_latency is not None else 0.0,
+        response_tokens=measured,
     )
 
 

@@ -7,14 +7,19 @@ GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
 requests.  A request body must declare a Content-Length of at most
 ``MAX_BODY_BYTES``; a read that waits over ``READ_TIMEOUT_S`` gets a 408.
+At most ``MAX_CONNECTIONS`` connections are open at once, each served on a
+reused handler thread; one beyond the cap is closed as soon as it is
+accepted.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import signal
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .config import RunConfig
 from .engine import run_episode
@@ -25,6 +30,9 @@ from .rewards import CostWindow, cost_reward
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8777
 DEFAULT_MAX_INFLIGHT = 8
+# Open connections the server holds at once, idle ones included; each holds
+# a handler thread until it closes or a read times out.
+MAX_CONNECTIONS = 64
 MAX_BODY_BYTES = 1 << 20
 # A socket read that waits longer fails, so a client that sends less than
 # its Content-Length cannot hold a handler thread.
@@ -63,14 +71,92 @@ class Router:
         return record
 
 
-class RoutingHTTPServer(ThreadingHTTPServer, Router):
-    daemon_threads = True
+class RoutingHTTPServer(HTTPServer, Router):
+    """Serves each accepted connection on a reused daemon worker thread.
+
+    A worker is started only when none is idle, so there are never more
+    workers than ``MAX_CONNECTIONS``.  A connection beyond that cap is
+    closed by the accepting thread.  ``server_close`` shuts the open
+    connections down and stops the workers.
+    """
 
     def __init__(self, address, run: RunConfig, max_inflight: int):
         # Built first: a negative bound raises before the port is bound.
         self.inflight = threading.Semaphore(max_inflight)
+        self._open = threading.Semaphore(MAX_CONNECTIONS)
+        self._idle = threading.Semaphore(0)
+        # Jobs wait in a deque that a semaphore counts: importing ``queue``
+        # would add about 120 KiB to every process that imports this module.
+        self._jobs: collections.deque = collections.deque()
+        self._queued = threading.Semaphore(0)
+        self._workers: list[threading.Thread] = []
+        self._connections: set[socket.socket] = set()
+        self._serving = threading.local()
+        self._closing = False
         Router.__init__(self, run)
-        ThreadingHTTPServer.__init__(self, address, _Handler)
+        HTTPServer.__init__(self, address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._open.acquire(blocking=False):
+            self.shutdown_request(request)
+            return
+        self._connections.add(request)
+        if not self._idle.acquire(blocking=False):
+            worker = threading.Thread(target=self._work, daemon=True)
+            self._workers.append(worker)
+            worker.start()
+        self._put((request, client_address))
+
+    def _put(self, job) -> None:
+        self._jobs.append(job)
+        self._queued.release()
+
+    def _next_job(self):
+        self._queued.acquire()
+        return self._jobs.popleft()
+
+    def _work(self) -> None:
+        while (job := self._next_job()) is not None:
+            request, client_address = job
+            self._serving.busy = True
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                if not self._closing:
+                    self.handle_error(request, client_address)
+            finally:
+                # The connection's slot frees only once it is closed.
+                self._mark_idle()
+                self._connections.discard(request)
+                self.shutdown_request(request)
+                self._open.release()
+
+    def _mark_idle(self) -> None:
+        """Count the calling worker idle, once per connection.
+
+        The handler calls this as it starts its reply, so the client's next
+        connection finds this worker rather than starting another; that
+        connection waits in the queue until the reply is sent.
+        """
+        if self._serving.busy:
+            self._serving.busy = False
+            self._idle.release()
+
+    def server_close(self) -> None:
+        self._closing = True
+        super().server_close()
+        # A client that keeps sending never lets a read time out; shutting
+        # its connection down ends the worker's next read or write.
+        for request in list(self._connections):
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for _ in self._workers:
+            self._put(None)
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,6 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
+        self.server._mark_idle()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -13,7 +13,7 @@ from multiroute import cli
 from multiroute.cli import main
 from multiroute.config import load_run_config
 from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
-from multiroute.evaluation import load_tasks, parse_report
+from multiroute.evaluation import MetricsSummary, load_tasks
 from multiroute.pool import UNABLE_RESPONSE, token_count
 from multiroute.protocol import DirectiveError, DirectiveErrorKind
 from multiroute.rewards import normalize_answer
@@ -221,7 +221,7 @@ def test_eval_machine_output_and_artifacts(workdir, capsys):
         ]
     )
     assert code == 0
-    summary = parse_report(capsys.readouterr().out.strip())
+    summary = MetricsSummary.from_record(json.loads(capsys.readouterr().out))
     assert summary.n == 2
     assert summary.em_mean == 1.0
     assert summary.avg_api_calls == 0.5

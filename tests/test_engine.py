@@ -7,6 +7,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multiroute.engine as engine
 import multiroute.pool as pool_module
@@ -433,11 +435,15 @@ def test_multi_route_contexts_stay_within_the_cap(case_pool):
 
 
 @pytest.mark.parametrize("routes", [0, 1, 2, 3, 4])
-def test_episode_counts_context_tokens_twice_per_route(
+def test_episode_counts_context_tokens_once_per_route(
     case_pool, monkeypatch, routes
 ):
-    # Untrimmed: one count of the context and one of the block per route, and
-    # none at all for an episode that answers without routing.
+    # Untrimmed: one count of the context per route, none of a reply (dispatch
+    # counted it), and none at all for an episode that answers without
+    # routing.  The two info tags are counted apart from the context.  A
+    # first episode fills the prompt-head cache.
+    script = MULTI_ROUTE_SCRIPT[:routes] + [MULTI_ROUTE_SCRIPT[-1]]
+    run_episode(TOPA_Q, ["Cusco"], ScriptedPolicy(script), case_pool, _window())
     calls = []
 
     def counting(text):
@@ -445,12 +451,14 @@ def test_episode_counts_context_tokens_twice_per_route(
         return token_count(text)
 
     monkeypatch.setattr(engine, "token_count", counting)
-    script = MULTI_ROUTE_SCRIPT[:routes] + [MULTI_ROUTE_SCRIPT[-1]]
     episode = run_episode(
         TOPA_Q, ["Cusco"], ScriptedPolicy(script), case_pool, _window()
     )
     assert episode.route_count == routes
-    assert len(calls) == 2 * routes
+    tags = (DEFAULT_LEXICON.info_open, DEFAULT_LEXICON.info_close)
+    assert len([text for text in calls if text not in tags]) == routes
+    replies = [call.response_text for call in episode.calls]
+    assert not any(reply in text for text in calls for reply in replies)
 
 
 def test_unscored_episode_skips_reward_and_window(case_pool):
@@ -468,6 +476,130 @@ def test_scored_episode_pushes_exactly_once(case_pool):
     window = _window()
     run_episode(QUESTION, GOLDS, _single_route_script(), case_pool, window)
     assert window.pushes == 1
+
+
+# ---------------------------------------------------------------------------
+# info block counts, derived from the reply's count
+# ---------------------------------------------------------------------------
+
+# Characters ``str.split`` splits on, ASCII and not, and two that look blank
+# but are not whitespace to it.
+SPLIT_SPACES = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+    "\u1680\u2000\u2009\u2028\u2029\u202f\u205f\u3000"
+)
+NOT_SPACES = "\u200b\ufeff"
+EDGE_TEXTS = [
+    "",
+    " ",
+    "\n\t ",
+    "\xa0\x85\x1c\u2009",
+    "word",
+    " word",
+    "word\n",
+    "\u200bword\ufeff",
+    "\xa0two words\x85",
+    "\x1cleading and trailing\u3000",
+    NO_ASSISTANCE_TEXT,
+]
+# (info_open, info_close) pairs whose ends are whitespace or not, including
+# tags that are whitespace only.
+INFO_TAGS = [
+    ("<information>", "</information>"),
+    (" <information>", "</information> "),
+    ("<information>\n", "\t</information>"),
+    ("\xa0[got]\x85", "\u2009[/got]\x1c"),
+    ("[got] [it]", "[/got]\u200b"),
+    ("\t", "\n"),
+]
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+texts = st.text(
+    alphabet=st.sampled_from(SPLIT_SPACES + NOT_SPACES + "ab<>/"), max_size=40
+) | st.text(max_size=40)
+
+
+def _info_lexicon(tags):
+    open_tag, close_tag = tags
+    return TagLexicon(info_open=open_tag, info_close=close_tag, info_aliases=())
+
+
+def _block(text, lexicon):
+    return f"\n{lexicon.info_open}{text}{lexicon.info_close}\n"
+
+
+def _assert_block_count(text, tokens, lexicon):
+    assert tokens == token_count(text)
+    assert engine._info_block_tokens(text, tokens, lexicon) == token_count(
+        _block(text, lexicon)
+    )
+
+
+@pytest.mark.parametrize("tags", INFO_TAGS)
+def test_info_block_count_of_edge_texts(tags):
+    for text in EDGE_TEXTS:
+        _assert_block_count(text, token_count(text), _info_lexicon(tags))
+
+
+@PROPERTY
+@given(text=texts, tags=st.sampled_from(INFO_TAGS))
+def test_info_block_count_matches_a_recount(text, tags):
+    _assert_block_count(text, token_count(text), _info_lexicon(tags))
+
+
+def _recount_fit(text, context_tokens, cap, lexicon):
+    """The trim rule with every block counted whole."""
+    while True:
+        block = _block(text, lexicon)
+        overflow = context_tokens + token_count(block) - cap
+        words = text.split()
+        if overflow <= 0 or not words:
+            return block, token_count(block)
+        text = " ".join(words[: max(0, len(words) - overflow)])
+
+
+@PROPERTY
+@given(
+    text=texts,
+    tags=st.sampled_from(INFO_TAGS),
+    context_tokens=st.integers(0, 30),
+    cap=st.integers(1, 60),
+)
+def test_trimmed_info_block_matches_a_recount(text, tags, context_tokens, cap):
+    lexicon = _info_lexicon(tags)
+    config = EngineConfig(max_sequence_tokens=cap, max_api_response_tokens=1)
+    fitted = engine._fit_info_to_budget(
+        text, token_count(text), context_tokens, config, lexicon
+    )
+    assert fitted == _recount_fit(text, context_tokens, cap, lexicon)
+
+
+class _EchoBackend:
+    """Replies with the text after the sub-query marker, as given."""
+
+    def complete(self, prompt, max_tokens, timeout_ms):
+        return prompt.rsplit(pool_module.SUB_QUERY_MARKER + " ", 1)[1], None, 0.0
+
+
+def _echo_pool():
+    return RoutingPool(
+        [
+            ModelDescriptor("echo", "Echo-1B", 1, 0.5, "echoes", _EchoBackend()),
+            ModelDescriptor("down", "Down-1B", 1, 0.5, "fails", _FailingBackend()),
+        ]
+    )
+
+
+@PROPERTY
+@given(reply=texts, cap=st.integers(1, 12), tags=st.sampled_from(INFO_TAGS))
+def test_dispatched_reply_count_gives_the_block_count(reply, cap, tags):
+    # Over ``cap`` words the reply is truncated; a blank one fails the
+    # directive; the failing model gets the no-assistance notice.
+    lexicon = _info_lexicon(tags)
+    config = EngineConfig(max_api_response_tokens=cap, lexicon=lexicon)
+    for interior in (f"Echo-1B: {reply}", f"Down-1B: {reply}", reply):
+        record = engine._handle_route(interior, _echo_pool(), config)
+        _assert_block_count(record.response_text, record.response_tokens, lexicon)
+        assert record.response_tokens <= cap or record.error is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from multiroute.evaluation import (
     TaskRecord,
     evaluate,
     load_tasks,
-    parse_report,
     report,
     write_episode_log,
 )
@@ -255,7 +254,7 @@ def _summary():
 def test_machine_report_round_trips():
     summary = _summary()
     text = report(summary, fmt="machine")
-    assert parse_report(text) == summary
+    assert MetricsSummary.from_record(json.loads(text)) == summary
     assert json.loads(text)["per_model_calls"] == {"m1": 4, "m2": 2}
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import random
+import select
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +284,185 @@ def test_body_shorter_than_its_content_length_times_out(server, monkeypatch):
     assert status_line.split()[1] == b"408"
     response = requests.get(f"{server.base_url}/health", timeout=5)
     assert response.status_code == 200
+
+
+# ---------------------------------------------------------------------------
+# connection cap and reused handler threads
+# ---------------------------------------------------------------------------
+
+ROUTE_BODY = json.dumps({"question": FILM_Q}).encode()
+ROUTE_REQUEST = b"POST /route HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+    len(ROUTE_BODY),
+    ROUTE_BODY,
+)
+
+
+def _serving(instance) -> threading.Thread:
+    thread = threading.Thread(
+        target=instance.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+    )
+    thread.start()
+    return thread
+
+
+def _stop(instance, thread) -> None:
+    instance.shutdown()
+    instance.server_close()
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def _closed_by_server(sockets, count, timeout=5.0) -> list:
+    """Wait until ``count`` of ``sockets`` read end-of-stream; return them."""
+    closed = []
+    deadline = time.monotonic() + timeout
+    while len(closed) < count and time.monotonic() < deadline:
+        waiting = [sock for sock in sockets if sock not in closed]
+        for sock in select.select(waiting, [], [], 0.05)[0]:
+            try:
+                assert sock.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            closed.append(sock)
+    return closed
+
+
+def _route_when_admitted(port: int, timeout=5.0) -> bytes:
+    """POST /route until a connection is served; return its status line."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            status_line = _raw_request(port, ROUTE_REQUEST)
+        except ConnectionError:
+            status_line = b""
+        if status_line or time.monotonic() > deadline:
+            return status_line
+        time.sleep(0.05)
+
+
+def test_connections_beyond_the_cap_are_closed_at_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(serve, "MAX_CONNECTIONS", 4)
+    before = threading.active_count()
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    thread = _serving(instance)
+    port = instance.server_port
+    idle = [socket.create_connection(("127.0.0.1", port), timeout=5) for _ in range(6)]
+    try:
+        closed = _closed_by_server(idle, 2)
+        assert len(closed) == 2
+        held = [sock for sock in idle if sock not in closed]
+        assert select.select(held, [], [], 0.2)[0] == []
+        # The serve_forever thread, and one handler per held connection.
+        assert threading.active_count() <= before + 1 + 4
+    finally:
+        for sock in idle:
+            sock.close()
+    try:
+        assert _route_when_admitted(port).split()[1] == b"200"
+    finally:
+        _stop(instance, thread)
+
+
+def test_sequential_requests_reuse_handler_threads(tmp_path):
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    handlers = []
+    route = instance.route
+
+    def recording(task):
+        handlers.append(threading.current_thread())
+        return route(task)
+
+    instance.route = recording
+    thread = _serving(instance)
+    try:
+        for _ in range(20):
+            with socket.create_connection(
+                ("127.0.0.1", instance.server_port), timeout=5
+            ) as sock:
+                sock.sendall(ROUTE_REQUEST)
+                reply = sock.makefile("rb").read()
+            assert reply.split()[1] == b"200"
+    finally:
+        _stop(instance, thread)
+    assert len(handlers) == 20
+    assert len(set(handlers)) <= 2
+
+
+def test_server_close_stops_the_handler_threads(tmp_path):
+    before = threading.active_count()
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    thread = _serving(instance)
+    idle = [
+        socket.create_connection(("127.0.0.1", instance.server_port), timeout=5)
+        for _ in range(3)
+    ]
+    assert _raw_request(instance.server_port, ROUTE_REQUEST).split()[1] == b"200"
+    assert threading.active_count() > before + 1
+    for sock in idle:
+        sock.close()
+    _stop(instance, thread)
+    assert threading.active_count() == before
+
+
+def test_server_close_ends_a_connection_that_keeps_sending(tmp_path, monkeypatch):
+    # A byte every 0.2 s keeps each read under the 1 s read timeout, so the
+    # connection outlives it; server_close must still return at once.
+    monkeypatch.setattr(serve, "READ_TIMEOUT_S", 1.0)
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    thread = _serving(instance)
+    sock = socket.create_connection(("127.0.0.1", instance.server_port), timeout=5)
+    stop = threading.Event()
+
+    def drip():
+        for byte in ROUTE_REQUEST:
+            if stop.wait(0.2):
+                return
+            try:
+                sock.send(bytes([byte]))
+            except OSError:
+                return
+
+    dripper = threading.Thread(target=drip, daemon=True)
+    dripper.start()
+    try:
+        time.sleep(1.5)
+        assert len(instance._connections) == 1
+        started = time.monotonic()
+        _stop(instance, thread)
+        assert time.monotonic() - started < 0.5
+    finally:
+        stop.set()
+        dripper.join(5)
+        sock.close()
+
+
+def test_concurrent_clients_never_raise_handlers_past_the_cap(tmp_path, monkeypatch):
+    # More clients than the cap, and thread switches every 10 us: each
+    # request is admitted at last, and no lost update lets a fifth handler
+    # thread start.
+    monkeypatch.setattr(serve, "MAX_CONNECTIONS", 4)
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    statuses = []
+
+    def client():
+        for _ in range(5):
+            statuses.append(_route_when_admitted(instance.server_port, timeout=20))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    thread = _serving(instance)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for each in clients:
+            each.start()
+        for each in clients:
+            each.join(30)
+        assert not any(each.is_alive() for each in clients)
+        assert len(instance._workers) <= 4
+    finally:
+        sys.setswitchinterval(interval)
+        _stop(instance, thread)
+    assert [line.split()[1] for line in statuses] == [b"200"] * 40
 
 
 # ---------------------------------------------------------------------------
