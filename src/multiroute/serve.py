@@ -74,34 +74,35 @@ class Router:
 class RoutingHTTPServer(HTTPServer, Router):
     """Serves each accepted connection on a reused daemon worker thread.
 
-    A worker is started only when none is idle, so there are never more
-    workers than ``MAX_CONNECTIONS``.  A connection beyond that cap is
-    closed by the accepting thread.  ``server_close`` shuts the open
-    connections down and stops the workers.
+    A worker counts as free from the moment its reply starts, so one is
+    started only when more connections await a reply than there are
+    workers; there are never more workers than ``MAX_CONNECTIONS``.  A
+    connection beyond that cap is closed by the accepting thread.
+    ``server_close`` shuts the open connections down and stops the workers.
     """
 
     def __init__(self, address, run: RunConfig, max_inflight: int):
         # Built first: a negative bound raises before the port is bound.
         self.inflight = threading.Semaphore(max_inflight)
-        self._open = threading.Semaphore(MAX_CONNECTIONS)
-        self._idle = threading.Semaphore(0)
         # Jobs wait in a deque that a semaphore counts: importing ``queue``
         # would add about 120 KiB to every process that imports this module.
         self._jobs: collections.deque = collections.deque()
         self._queued = threading.Semaphore(0)
         self._workers: list[threading.Thread] = []
+        # Open connections, and those of them whose reply has not started.
         self._connections: set[socket.socket] = set()
-        self._serving = threading.local()
+        self._unanswered: set[socket.socket] = set()
         self._closing = False
         Router.__init__(self, run)
         HTTPServer.__init__(self, address, _Handler)
 
     def process_request(self, request, client_address) -> None:
-        if not self._open.acquire(blocking=False):
+        if len(self._connections) >= MAX_CONNECTIONS:
             self.shutdown_request(request)
             return
         self._connections.add(request)
-        if not self._idle.acquire(blocking=False):
+        self._unanswered.add(request)
+        if len(self._unanswered) > len(self._workers):
             worker = threading.Thread(target=self._work, daemon=True)
             self._workers.append(worker)
             worker.start()
@@ -118,29 +119,16 @@ class RoutingHTTPServer(HTTPServer, Router):
     def _work(self) -> None:
         while (job := self._next_job()) is not None:
             request, client_address = job
-            self._serving.busy = True
             try:
                 self.finish_request(request, client_address)
             except Exception:
                 if not self._closing:
                     self.handle_error(request, client_address)
             finally:
-                # The connection's slot frees only once it is closed.
-                self._mark_idle()
-                self._connections.discard(request)
+                self._unanswered.discard(request)
                 self.shutdown_request(request)
-                self._open.release()
-
-    def _mark_idle(self) -> None:
-        """Count the calling worker idle, once per connection.
-
-        The handler calls this as it starts its reply, so the client's next
-        connection finds this worker rather than starting another; that
-        connection waits in the queue until the reply is sent.
-        """
-        if self._serving.busy:
-            self._serving.busy = False
-            self._idle.release()
+                # The connection's slot frees only once it is closed.
+                self._connections.discard(request)
 
     def server_close(self) -> None:
         self._closing = True
@@ -171,7 +159,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
-        self.server._mark_idle()
+        # The worker is free once its reply starts: the client's next
+        # connection waits in the queue for it rather than starting another.
+        self.server._unanswered.discard(self.request)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -190,18 +180,24 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/route":
             self._send_json(404, {"error": "not found"})
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
+        # One value of ASCII digits, however often it is repeated; ``int``
+        # alone would also read "+18" and "1_8".
+        values = {
+            value.strip(" \t")
+            for value in self.headers.get_all("Content-Length", ["0"])
+        }
+        text = values.pop() if len(values) == 1 else ""
+        if not (text.isascii() and text.isdigit()):
             self._send_json(400, {"error": "bad Content-Length"})
             return
-        if length > MAX_BODY_BYTES:
+        # A value with more digits than the cap is over it; ``int`` is never
+        # handed one, as it refuses a long enough string.
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             self._send_json(413, {"error": f"body over {MAX_BODY_BYTES} bytes"})
             return
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(self.rfile.read(int(digits)) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("body must be a JSON object")
             task = TaskRecord(

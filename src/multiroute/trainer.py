@@ -106,6 +106,12 @@ class PolicyParams:
         """Params from the parsed JSON of a params file."""
         try:
             weights = np.asarray(data["weights"], dtype=float)
+            # ``float`` would also read "0.5" and true; neither is a number.
+            if not all(
+                isinstance(entry, (int, float)) and not isinstance(entry, bool)
+                for entry in np.asarray(data["weights"], dtype=object).flat
+            ):
+                raise ValueError
         except ValueError:
             # numpy's own message echoes the bad entry, however long it is.
             raise ValueError("weights must be a matrix of numbers") from None

@@ -1161,6 +1161,12 @@ BAD_INPUTS = [
         id="params-weights-nan",
     ),
     pytest.param(
+        _with_params(weights=[["0.5", True, 0.0]] + [[0.0] * 3] * 63),
+        "params policy {dir}/params.json",
+        "bad params file: ValueError: weights must be a matrix of numbers",
+        id="params-weights-string-and-bool",
+    ),
+    pytest.param(
         _with_params(feature_dim=5, weights=[[0.0] * 3] * 5),
         "params policy {dir}/params.json",
         "feature_dim too small",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import select
@@ -245,6 +246,40 @@ def test_bad_content_length_is_answered_without_reading_the_body(
     assert status_line.split()[1] == str(status).encode()
 
 
+@pytest.mark.parametrize(
+    "lengths, status",
+    [
+        (["1_8"], b"400"),
+        (["+18"], b"400"),
+        (["18", "3"], b"400"),
+        (["9" * 5000], b"413"),
+        (["{n}", "{n} "], b"200"),
+        (["0" * 5000 + "{n}"], b"200"),
+    ],
+    ids=[
+        "underscore",
+        "plus-sign",
+        "differing-duplicates",
+        "5000-digits",
+        "identical-duplicates",
+        "5000-leading-zeros",
+    ],
+)
+def test_content_length_is_one_value_of_ascii_digits(server, capsys, lengths, status):
+    # The body is sent only when it must be read: a server that read one it
+    # should have refused would wait out the socket timeout.
+    body = json.dumps({"question": FILM_Q}).encode() if status == b"200" else b""
+    headers = "".join(
+        f"Content-Length: {value.format(n=len(body))}\r\n" for value in lengths
+    )
+    status_line = _raw_request(
+        server.server_port,
+        f"POST /route HTTP/1.1\r\nHost: localhost\r\n{headers}\r\n".encode() + body,
+    )
+    assert status_line.split()[1] == status
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _raw_request(port: int, request: bytes) -> bytes:
     """Send ``request`` on a fresh connection; return the reply's status line."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
@@ -463,6 +498,41 @@ def test_concurrent_clients_never_raise_handlers_past_the_cap(tmp_path, monkeypa
         sys.setswitchinterval(interval)
         _stop(instance, thread)
     assert [line.split()[1] for line in statuses] == [b"200"] * 40
+
+
+def test_a_worker_is_free_once_its_reply_starts(tmp_path):
+    # Two closed-loop clients, a new connection per request, each reading
+    # its reply by Content-Length as perfbench's client does: the next
+    # connection finds the worker whose reply has started, so two workers
+    # serve both clients.
+    instance = build_server(_run_config(tmp_path), "127.0.0.1", 0)
+    statuses = []
+
+    def client():
+        for _ in range(40):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", instance.server_port, timeout=5
+            )
+            try:
+                conn.request("POST", "/route", body=ROUTE_BODY)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+            finally:
+                conn.close()
+
+    thread = _serving(instance)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(2)]
+        for each in clients:
+            each.start()
+        for each in clients:
+            each.join(30)
+        assert not any(each.is_alive() for each in clients)
+        assert len(instance._workers) <= 2
+    finally:
+        _stop(instance, thread)
+    assert statuses == [200] * 80
 
 
 # ---------------------------------------------------------------------------

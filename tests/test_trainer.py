@@ -123,6 +123,14 @@ def test_params_json_round_trip():
     assert restored.to_json() == params.to_json()
 
 
+@pytest.mark.parametrize("entry", ["0.5", True, False, None])
+def test_params_weights_must_be_numbers(entry):
+    record = json.loads(PolicyParams.initial(16, _two_model_pool()).to_json())
+    record["weights"][3][1] = entry
+    with pytest.raises(ValueError, match="^weights must be a matrix of numbers$"):
+        PolicyParams.from_record(record)
+
+
 def test_params_copy_is_deep_for_weights():
     params = PolicyParams.initial(16, _two_model_pool())
     clone = params.copy()
