@@ -460,10 +460,6 @@ class CallRecord:
         return record
 
 
-def render_assist_prompt(sub_query: str) -> str:
-    return ASSIST_PROMPT.format(sub_query=sub_query)
-
-
 def dispatch(
     pool: RoutingPool,
     model_id: str,
@@ -487,9 +483,10 @@ def dispatch(
     descriptor = pool.get(model_id)
     if not sub_query.strip():
         raise ValueError("sub_query must be nonempty")
-    prompt = render_assist_prompt(sub_query)
     text, reported_tokens, reported_latency = descriptor.backend.complete(
-        prompt, max_tokens=max_api_response_tokens, timeout_ms=timeout_ms
+        ASSIST_PROMPT.format(sub_query=sub_query),
+        max_tokens=max_api_response_tokens,
+        timeout_ms=timeout_ms,
     )
     measured = token_count(text)
     if measured > max_api_response_tokens:

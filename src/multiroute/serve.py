@@ -7,6 +7,7 @@ GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
 requests.  A request body must declare a Content-Length of at most
 ``MAX_BODY_BYTES``; a read that waits over ``READ_TIMEOUT_S`` gets a 408.
+Every reply body is a JSON object, ``http.server``'s own errors included.
 At most ``MAX_CONNECTIONS`` connections are open at once, each served on a
 reused handler thread; one beyond the cap is closed as soon as it is
 accepted.
@@ -166,7 +167,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """Answer ``http.server``'s own errors (an unsupported method, too
+        many or too long headers, a request line it cannot read) as JSON,
+        then close the connection."""
+        self.close_connection = True
+        # A request line too bad to name a version leaves HTTP/0.9 here,
+        # which would send the reply without its status line.
+        self.request_version = self.protocol_version
+        self._send_json(code, {"error": message or self.responses[code][0]})
 
     def do_GET(self) -> None:
         if self.path != "/health":

@@ -24,7 +24,6 @@ import numpy as np
 
 from .engine import (
     EngineConfig,
-    Episode,
     PolicyBackend,
     UNHELPFUL_INFO_PREFIXES,
     run_episode,
@@ -311,7 +310,7 @@ class DecisionTable:
 
 @dataclass
 class EpisodeSample:
-    """What the gradient step needs from one rollout."""
+    """What the gradient step needs from one training episode."""
 
     reward: float
     steps: list[DecisionStep]
@@ -327,7 +326,8 @@ class LearnedRoutingPolicy(PolicyBackend):
     Decisions are drawn from row ``position`` of ``table``, a
     `DecisionTable` over the same params and ``max_steps`` whose question
     there is ``question``; a training step shares one across its episodes.
-    Without one, the first decision builds a one-question table.
+    Without one, the policy makes a one-question table, whose rows are
+    still built at the first decision.
     """
 
     def __init__(
@@ -346,9 +346,8 @@ class LearnedRoutingPolicy(PolicyBackend):
         self.pool = pool
         self.rng = rng
         self.lexicon = lexicon
-        self.max_steps = max_steps
         self.decisions: list[DecisionStep] = []
-        self._table = table
+        self._table = table or DecisionTable(params, [question], max_steps)
         self._position = position
         self._prev_context_len: Optional[int] = None
         self._facts: list[str] = []
@@ -365,8 +364,6 @@ class LearnedRoutingPolicy(PolicyBackend):
         if answer_only:
             return self._emit_answer()
 
-        if self._table is None:
-            self._table = DecisionTable(self.params, [self.question], self.max_steps)
         decision = self._table.draw(self._position, len(self.decisions), self.rng)
         self.decisions.append(decision)
         index = decision.action
@@ -584,39 +581,6 @@ class TrainReport:
         ]
 
 
-def rollout(
-    params: PolicyParams,
-    question: str,
-    golds: list[str],
-    pool: RoutingPool,
-    window: CostWindow,
-    engine_config: EngineConfig,
-    reward_config: RewardConfig,
-    rng: np.random.Generator,
-    table: Optional[DecisionTable] = None,
-    position: int = 0,
-) -> tuple[Episode, EpisodeSample]:
-    """Run one training episode and package it for the gradient step.
-
-    ``table`` and ``position`` are as for `LearnedRoutingPolicy`.
-    """
-    policy = LearnedRoutingPolicy(
-        params,
-        question,
-        pool,
-        rng,
-        engine_config.lexicon,
-        max_steps=engine_config.max_routing_steps,
-        table=table,
-        position=position,
-    )
-    episode = run_episode(
-        question, golds, policy, pool, window, engine_config, reward_config
-    )
-    sample = EpisodeSample(reward=episode.rewards.total, steps=policy.decisions)
-    return episode, sample
-
-
 def _mean_entropy(distributions: Sequence[np.ndarray]) -> float:
     """Mean entropy of equal-length distributions, 0.0 for none.
 
@@ -673,21 +637,28 @@ def train(
             engine_config.max_routing_steps,
         )
         for i, task in enumerate(step_tasks):
-            episode, sample = rollout(
+            policy = LearnedRoutingPolicy(
                 params,
                 task.question,
+                pool,
+                rng,
+                engine_config.lexicon,
+                max_steps=engine_config.max_routing_steps,
+                table=table,
+                position=i,
+            )
+            episode = run_episode(
+                task.question,
                 task.golds,
+                policy,
                 pool,
                 window,
                 engine_config,
                 reward_config,
-                rng,
-                table=table,
-                position=i,
             )
-            batch.append(sample)
+            batch.append(EpisodeSample(episode.rewards.total, policy.decisions))
             costs.append(episode.rewards.cost_raw)
-            step_probs.extend(decision.probs for decision in sample.steps)
+            step_probs.extend(decision.probs for decision in policy.decisions)
             for call in episode.calls:
                 if call.model_id in call_counts:
                     call_counts[call.model_id] += 1

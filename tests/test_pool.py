@@ -10,6 +10,7 @@ import pytest
 from http_stub import chat_body, start_scripted_server, stop_server
 
 from multiroute.pool import (
+    ASSIST_PROMPT,
     SUB_QUERY_MARKER,
     UNABLE_RESPONSE,
     BackendError,
@@ -27,7 +28,6 @@ from multiroute.pool import (
     dispatch,
     load_knowledge_base,
     read_jsonl,
-    render_assist_prompt,
     token_count,
     truncate_tokens,
     unit_draw,
@@ -66,6 +66,11 @@ def test_token_count_and_truncate():
 # ---------------------------------------------------------------------------
 
 
+def _assist_prompt(sub_query):
+    """The prompt `dispatch` sends a pool model for ``sub_query``."""
+    return ASSIST_PROMPT.format(sub_query=sub_query)
+
+
 def _sim(kb=None, accuracy=1.0, verbosity=12, seed=3):
     normalized = {normalize_answer(k): v for k, v in (kb or {}).items()}
     return SimulatedBackend(
@@ -87,7 +92,7 @@ def test_sim_profile_validation():
 
 def test_sim_backend_answers_known_key():
     backend = _sim({"What is the capital of Peru?": "Lima"})
-    prompt = render_assist_prompt("What is the capital of Peru?")
+    prompt = _assist_prompt("What is the capital of Peru?")
     text, tokens, latency = backend.complete(prompt, max_tokens=600)
     assert text.startswith("Lima")
     assert tokens is None
@@ -97,20 +102,20 @@ def test_sim_backend_answers_known_key():
 
 def test_sim_backend_key_lookup_is_normalized():
     backend = _sim({"What is the capital of Peru?": "Lima"})
-    prompt = render_assist_prompt("the what is the capital of peru")
+    prompt = _assist_prompt("the what is the capital of peru")
     text, _, _ = backend.complete(prompt, max_tokens=600)
     assert text.startswith("Lima")
 
 
 def test_sim_backend_misses_unknown_key():
     backend = _sim({"known": "yes"})
-    text, _, _ = backend.complete(render_assist_prompt("unknown"), 600)
+    text, _, _ = backend.complete(_assist_prompt("unknown"), 600)
     assert text.startswith(UNABLE_RESPONSE)
 
 
 def test_sim_backend_zero_accuracy_never_answers():
     backend = _sim({"known question": "yes"}, accuracy=0.0)
-    text, _, _ = backend.complete(render_assist_prompt("known question"), 600)
+    text, _, _ = backend.complete(_assist_prompt("known question"), 600)
     assert text.startswith(UNABLE_RESPONSE)
 
 
@@ -118,8 +123,8 @@ def test_sim_backend_hit_and_miss_have_equal_length():
     """Per-call spend must not reveal whether the model actually answered."""
     verbosity = 20
     backend = _sim({"hit": "short"}, verbosity=verbosity)
-    hit, _, _ = backend.complete(render_assist_prompt("hit"), 600)
-    miss, _, _ = backend.complete(render_assist_prompt("miss"), 600)
+    hit, _, _ = backend.complete(_assist_prompt("hit"), 600)
+    miss, _, _ = backend.complete(_assist_prompt("miss"), 600)
     assert token_count(hit) == verbosity
     assert token_count(miss) == verbosity
 
@@ -142,7 +147,7 @@ def _padded_by_words(content, verbosity):
 
 
 def test_sim_backend_filler_equals_the_word_by_word_form():
-    prompt = render_assist_prompt("q")
+    prompt = _assist_prompt("q")
     for padding in range(2000):
         backend = _sim({"q": "the answer"}, verbosity=2 + padding)
         text, _, _ = backend.complete(prompt, 4000)
@@ -152,13 +157,13 @@ def test_sim_backend_filler_equals_the_word_by_word_form():
 def test_sim_backend_does_not_pad_content_longer_than_verbosity():
     answer = "one two three four five"
     backend = _sim({"q": answer}, verbosity=3)
-    text, _, _ = backend.complete(render_assist_prompt("q"), 600)
+    text, _, _ = backend.complete(_assist_prompt("q"), 600)
     assert text == answer == _padded_by_words(answer, 3)
 
 
 def test_sim_backend_is_stateless_and_deterministic():
     backend = _sim({"q": "a"}, accuracy=0.5, seed=9)
-    prompt = render_assist_prompt("q")
+    prompt = _assist_prompt("q")
     first = backend.complete(prompt, 600)
     for _ in range(5):
         assert backend.complete(prompt, 600) == first

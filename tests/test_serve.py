@@ -321,6 +321,50 @@ def test_body_shorter_than_its_content_length_times_out(server, monkeypatch):
     assert response.status_code == 200
 
 
+# Each request is sent whole and read to its last byte by ``http.server``
+# before it answers: unread bytes would make the close a reset.
+SERVER_ERRORS = {
+    "put": (b"PUT /route HTTP/1.1\r\nHost: localhost\r\n\r\n", b"501"),
+    "head": (b"HEAD /health HTTP/1.1\r\nHost: localhost\r\n\r\n", b"501"),
+    "uri-too-long": (b"GET /" + b"a" * 65532, b"414"),
+    "too-many-headers": (
+        b"GET /health HTTP/1.1\r\n" + b"X: 1\r\n" * 101, b"431"
+    ),
+    "header-too-long": (
+        b"GET /health HTTP/1.1\r\nX: " + b"a" * 65534, b"431"
+    ),
+    "syntax": (b"GARBAGE\r\n", b"400"),
+    "version": (b"GET /health FOO/1.0\r\n\r\n", b"400"),
+    "http-2": (b"GET /health HTTP/2.0\r\n\r\n", b"505"),
+    "http-0.9-post": (b"POST /route\r\n\r\n", b"400"),
+}
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status", SERVER_ERRORS.values(), ids=SERVER_ERRORS.keys()
+)
+def test_http_server_errors_are_json_and_close_the_connection(
+    server, request_bytes, status
+):
+    with socket.create_connection(("127.0.0.1", server.server_port), timeout=5) as sock:
+        sock.sendall(request_bytes)
+        reply = sock.makefile("rb")
+        assert reply.readline().split()[1] == status
+        headers = {}
+        while (line := reply.readline()) != b"\r\n":
+            name, _, value = line.decode().partition(":")
+            headers[name.lower()] = value.strip()
+        body = reply.read()  # to the end: the server closes the connection
+    assert headers["content-type"] == "application/json"
+    if request_bytes.startswith(b"HEAD "):
+        assert body == b""
+    else:
+        assert len(body) == int(headers["content-length"])
+        assert list(json.loads(body)) == ["error"]
+    response = requests.get(f"{server.base_url}/health", timeout=5)
+    assert response.status_code == 200
+
+
 # ---------------------------------------------------------------------------
 # connection cap and reused handler threads
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from multiroute.trainer import (
     knowledge_bases_for,
     make_synthetic_tasks,
     policy_gradient_step,
-    rollout,
     surrogate_gradient,
     surrogate_objective,
     train,
@@ -653,6 +652,33 @@ def test_adapter_raises_at_the_decision_that_draws_a_non_finite_row():
     assert policy.decisions == []
 
 
+def _record_batches(monkeypatch):
+    """A list that collects the samples of each batch `train` hands to the
+    gradient step, in order."""
+    samples = []
+    original = trainer.policy_gradient_step
+
+    def recorded(params, batch, *args, **kwargs):
+        samples.extend(batch)
+        return original(params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "policy_gradient_step", recorded)
+    return samples
+
+
+def _record_episodes(monkeypatch):
+    """A list that collects each episode `train` runs, in order."""
+    episodes = []
+    original = trainer.run_episode
+
+    def recorded(*args, **kwargs):
+        episodes.append(original(*args, **kwargs))
+        return episodes[-1]
+
+    monkeypatch.setattr(trainer, "run_episode", recorded)
+    return episodes
+
+
 def _eight_model_pool_and_tasks(n_tasks):
     tasks = make_synthetic_tasks(n_tasks, "m0", "m1", seed=8, two_fact_ratio=0.5)
     kbs = knowledge_bases_for(tasks)
@@ -676,15 +702,7 @@ def test_training_step_memory_stays_bounded_on_a_large_batch(monkeypatch):
     most), one table block and the gradient's blocks.  A table whose
     decisions kept views of it would hold every block, 25 MiB, to the end
     of the step."""
-    samples = []
-    original_rollout = trainer.rollout
-
-    def recorded_rollout(*args, **kwargs):
-        episode, sample = original_rollout(*args, **kwargs)
-        samples.append(sample)
-        return episode, sample
-
-    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    samples = _record_batches(monkeypatch)
     pool, tasks = _eight_model_pool_and_tasks(320)
     config = TrainConfig(steps=1, batch_size=320, feature_dim=2048, seed=1)
     tracemalloc.start()
@@ -845,20 +863,19 @@ def _task_pool_and_tasks(n_tasks=6, two_fact_ratio=0.0, accuracy=1.0, seed=3):
     return pool, tasks
 
 
-def test_rollout_reward_matches_episode_total():
+def test_rollout_reward_matches_episode_total(monkeypatch):
     pool, tasks = _task_pool_and_tasks()
     params = _forced_params(pool, route_id="strong", answer_round=1)
-    window = CostWindow(100)
-    episode, sample = rollout(
-        params,
-        tasks[0].question,
-        tasks[0].golds,
+    monkeypatch.setattr(PolicyParams, "initial", lambda *args: params)
+    samples = _record_batches(monkeypatch)
+    episodes = _record_episodes(monkeypatch)
+    train(
+        tasks[:1],
         pool,
-        window,
-        EngineConfig(),
+        TrainConfig(steps=1, batch_size=1, feature_dim=params.feature_dim),
         RewardConfig(alpha=0.0),
-        np.random.default_rng(0),
     )
+    [sample], [episode] = samples, episodes
     assert sample.reward == episode.rewards.total
     assert len(sample.steps) == 2  # route decision + answer decision
     assert episode.final_answer == tasks[0].golds[0]
@@ -1026,15 +1043,7 @@ def test_train_runs_one_gradient_softmax_per_step(monkeypatch, beta, per_step):
 
 
 def test_train_entropy_matches_the_decision_loop(monkeypatch):
-    samples = []
-    original_rollout = trainer.rollout
-
-    def recorded_rollout(*args, **kwargs):
-        episode, sample = original_rollout(*args, **kwargs)
-        samples.append(sample)
-        return episode, sample
-
-    monkeypatch.setattr(trainer, "rollout", recorded_rollout)
+    samples = _record_batches(monkeypatch)
     pool, tasks = _task_pool_and_tasks(two_fact_ratio=0.5)
     report = train(tasks, pool, TrainConfig(steps=3, batch_size=5, feature_dim=16))
     expected = [
