@@ -16,7 +16,7 @@ import math
 import reprlib
 import sys
 
-from .config import ConfigError, RunConfig, load_run_config
+from .config import ConfigError, RunConfig, load_run_config, policy_factory
 from .engine import reconstruct_cost, score_episode
 from .evaluation import (
     TaskRecord,
@@ -26,7 +26,6 @@ from .evaluation import (
     report,
     write_episode_log,
 )
-from .policies import policy_factory
 from .pool import BackendError, BackendTimeout, LineError, read_jsonl
 from .protocol import extract_answer, validate_format
 from .rewards import CostWindow, cost_reward

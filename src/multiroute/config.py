@@ -1,9 +1,10 @@
-"""JSON run configuration: pool definitions, engine/reward/trainer knobs.
+"""JSON run configuration: pool definitions, engine/reward/trainer knobs, policy.
 
 A run config gathers everything a CLI command needs.  Paths inside a config
 file resolve relative to the file's own directory.  Command-line flags
 override config values, which override built-in defaults.  Each section is
-built by the class that owns it and holds its defaults (``build_section``).
+built by the class that owns it and holds its defaults (``build_section``),
+the policy section by ``policy_factory``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .engine import EngineConfig
+from .policies import HttpPolicy, ScriptedPolicy
 from .pool import (
     HttpBackend,
     LineError,
@@ -28,7 +32,13 @@ from .pool import (
 )
 from .protocol import DEFAULT_LEXICON, BlockKind, TagLexicon
 from .rewards import RewardConfig, check_field_types, normalize_answer
-from .trainer import TrainConfig
+from .trainer import (
+    ANSWER_ACTION,
+    LearnedRoutingPolicy,
+    PolicyParams,
+    TrainConfig,
+    check_feature_dim,
+)
 
 
 class ConfigError(ValueError):
@@ -67,9 +77,10 @@ def _build_backend(section, context: str, base_dir: str):
         kb = fields.pop("kb", {})
         kb_path = fields.pop("kb_path", None)
         if kb_path is not None:
-            check_path_value(kb_path, "kb_path", context)
+            kb_file = _section_path(
+                kb_path, "kb_path", context, base_dir, f"{context}: kb_path"
+            )
             try:
-                kb_file = config_path(base_dir, kb_path, f"{context}: kb_path")
                 kb = load_knowledge_base(kb_file)
             except LineError as exc:
                 raise ConfigError(f"{context}: {kb_file}: {exc}") from None
@@ -87,6 +98,78 @@ def _build_backend(section, context: str, base_dir: str):
     raise ConfigError(f"{context}: unknown backend type {reprlib.repr(kind)}")
 
 
+def policy_factory(run: RunConfig):
+    """Build a ``TaskRecord -> PolicyBackend`` factory from the policy section.
+
+    Raises:
+        ConfigError: unknown policy kind, a malformed section or policy file.
+    """
+    section = run.policy
+    kind = section.get("kind")
+    context = f"{kind} policy"
+    if kind == "scripted":
+        script = section.get("script")
+        if section.get("script_path") is not None:
+            path = _section_path(
+                section["script_path"], "script_path", context, run.base_dir
+            )
+            script = read_json(path, context)
+        if script is None or isinstance(script, list):
+            script = {"default": script or []}
+        if not isinstance(script, dict) or not all(
+            isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+            for lines in script.values()
+        ):
+            raise ConfigError(
+                "scripted policy: script must be a list of strings "
+                "or a mapping of such lists"
+            )
+        default = script.get("default", [])
+        return lambda task: ScriptedPolicy(script.get(task.id, default))
+    if kind == "params":
+        if not section.get("path"):
+            raise ConfigError("params policy: 'path' is required")
+        path = _section_path(section["path"], "path", context, run.base_dir)
+        data = read_json(path, context)
+        try:
+            params = PolicyParams.from_record(data)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"params policy {path}: bad params file: {type(exc).__name__}: {exc}"
+            )
+        unknown = [
+            action
+            for action in params.actions
+            if action != ANSWER_ACTION and run.pool.resolve(action) is None
+        ]
+        if unknown:
+            raise ConfigError(
+                f"params policy {path}: actions not in the pool: {unknown}"
+            )
+        try:
+            check_feature_dim(params.feature_dim, run.engine.max_routing_steps)
+        except ValueError as exc:
+            raise ConfigError(f"params policy {path}: {exc}") from None
+
+        def factory(task):
+            rng = np.random.default_rng(run.seed)
+            return LearnedRoutingPolicy(
+                params,
+                task.question,
+                run.pool,
+                rng,
+                run.engine.lexicon,
+                max_steps=run.engine.max_routing_steps,
+            )
+
+        return factory
+    if kind == "http":
+        fields = {key: value for key, value in section.items() if key != "kind"}
+        policy = build_section(HttpPolicy, fields, context, lexicon=run.engine.lexicon)
+        return lambda task: policy
+    raise ConfigError(f"unknown policy kind {reprlib.repr(kind)}")
+
+
 def config_path(base_dir: str, path: str, what: str) -> str:
     """``path`` joined to ``base_dir``; ``what`` names it in a ConfigError.
 
@@ -101,30 +184,27 @@ def config_path(base_dir: str, path: str, what: str) -> str:
     return path
 
 
-def check_path_value(value, key: str, context: str) -> None:
-    """Raise ConfigError unless the path under ``key`` is a nonempty string;
-    ``context`` names the section."""
+def _section_path(value, key: str, context: str, base_dir: str, what="") -> str:
+    """``value``, the path under ``key`` in section ``context``, joined to
+    ``base_dir``.  Raises ConfigError unless it is a nonempty string with no
+    NUL byte; ``what`` (``context`` by default) names it in the NUL error."""
     if not isinstance(value, str):
         raise ConfigError(f"{context}: {key} must be a string")
     if not value:
         raise ConfigError(f"{context}: {key} must not be empty")
+    return config_path(base_dir, value, what or context)
 
 
-def read_text(path: str, what: str) -> str:
-    """The UTF-8 text of the file at ``path``; ``what`` names it in a
+def read_json(path: str, what: str):
+    """Parse the UTF-8 JSON file at ``path``; ``what`` names it in a
     ConfigError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}")
     except UnicodeDecodeError:
         raise ConfigError(f"{what} {path}: not UTF-8 text") from None
-
-
-def read_json(path: str, what: str):
-    """Parse the JSON file at ``path``; ``what`` names it in a ConfigError."""
-    text = read_text(path, what)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

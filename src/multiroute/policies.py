@@ -2,35 +2,18 @@
 
 The learned-parameters policy lives in the trainer module; these two cover
 deterministic replay (tests, demos, audits) and driving a served model.
-``policy_factory`` builds any of the three from a run config's policy
-section, for the CLI and the HTTP service alike.
+``config.policy_factory`` builds any of the three from a run config's
+policy section.
 """
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_section,
-    check_path_value,
-    config_path,
-    read_json,
-)
 from .engine import PolicyBackend
 from .pool import ChatEndpoint
 from .protocol import DEFAULT_LEXICON, TagLexicon
-from .trainer import (
-    ANSWER_ACTION,
-    LearnedRoutingPolicy,
-    PolicyParams,
-    check_feature_dim,
-)
 
 
 class ScriptedPolicy(PolicyBackend):
@@ -108,78 +91,3 @@ class HttpPolicy(ChatEndpoint, PolicyBackend):
                 if best is None or at > best[0]:
                     best = (at, marker)
         return best[1] if best else stop_markers[0]
-
-
-def policy_factory(run: RunConfig):
-    """Build a ``TaskRecord -> PolicyBackend`` factory from the policy section.
-
-    Raises:
-        ConfigError: unknown policy kind, a malformed section or policy file.
-    """
-    section = run.policy
-    kind = section.get("kind")
-
-    def path_of(key: str) -> str:
-        check_path_value(section[key], key, f"{kind} policy")
-        return config_path(run.base_dir, section[key], f"{kind} policy")
-
-    if kind == "scripted":
-        script = section.get("script")
-        if section.get("script_path") is not None:
-            script = read_json(path_of("script_path"), "scripted policy")
-        if script is None or isinstance(script, list):
-            script = {"default": script or []}
-        if not isinstance(script, dict) or not all(
-            isinstance(lines, list) and all(isinstance(line, str) for line in lines)
-            for lines in script.values()
-        ):
-            raise ConfigError(
-                "scripted policy: script must be a list of strings "
-                "or a mapping of such lists"
-            )
-        default = script.get("default", [])
-        return lambda task: ScriptedPolicy(script.get(task.id, default))
-    if kind == "params":
-        if not section.get("path"):
-            raise ConfigError("params policy: 'path' is required")
-        path = path_of("path")
-        data = read_json(path, "params policy")
-        try:
-            params = PolicyParams.from_record(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"params policy {path}: bad params file: {type(exc).__name__}: {exc}"
-            )
-        unknown = [
-            action
-            for action in params.actions
-            if action != ANSWER_ACTION and run.pool.resolve(action) is None
-        ]
-        if unknown:
-            raise ConfigError(
-                f"params policy {path}: actions not in the pool: {unknown}"
-            )
-        try:
-            check_feature_dim(params.feature_dim, run.engine.max_routing_steps)
-        except ValueError as exc:
-            raise ConfigError(f"params policy {path}: {exc}") from None
-
-        def factory(task):
-            rng = np.random.default_rng(run.seed)
-            return LearnedRoutingPolicy(
-                params,
-                task.question,
-                run.pool,
-                rng,
-                run.engine.lexicon,
-                max_steps=run.engine.max_routing_steps,
-            )
-
-        return factory
-    if kind == "http":
-        fields = {key: value for key, value in section.items() if key != "kind"}
-        policy = build_section(
-            HttpPolicy, fields, "http policy", lexicon=run.engine.lexicon
-        )
-        return lambda task: policy
-    raise ConfigError(f"unknown policy kind {reprlib.repr(kind)}")

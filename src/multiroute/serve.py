@@ -22,10 +22,9 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from .config import RunConfig
+from .config import RunConfig, policy_factory
 from .engine import run_episode
 from .evaluation import TaskRecord
-from .policies import policy_factory
 from .rewards import CostWindow, cost_reward
 
 DEFAULT_HOST = "127.0.0.1"
@@ -179,6 +178,14 @@ class _Handler(BaseHTTPRequestHandler):
         # which would send the reply without its status line.
         self.request_version = self.protocol_version
         self._send_json(code, {"error": message or self.responses[code][0]})
+
+    def parse_request(self) -> bool:
+        # An HTTP/0.9 reply would have no status line; refuse before the body.
+        parsed = super().parse_request()
+        if parsed and self.request_version == "HTTP/0.9":
+            self.send_error(505, "HTTP/0.9 is not supported")
+            return False
+        return parsed
 
     def do_GET(self) -> None:
         if self.path != "/health":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import reprlib
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -66,7 +67,8 @@ class PolicyParams:
         shape = (self.feature_dim, len(self.actions))
         if self.weights.shape != shape:
             raise ValueError(
-                f"weights must have shape {shape}, got {self.weights.shape}"
+                f"weights must have shape {reprlib.repr(shape)}, "
+                f"got {self.weights.shape}"
             )
         if not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite")

@@ -1436,6 +1436,20 @@ BAD_INPUTS = [
         "eval_warmup_costs[1] must be a finite number",
         id="warmup-cost-oversized-int",
     ),
+    # ... and in a params file: a weight no float can hold, and a feature_dim
+    # that the error line shows cut short
+    pytest.param(
+        _with_params(weights=[[int("1" * 400), 0.0, 0.0]] + [[0.0] * 3] * 63),
+        "params policy {dir}/params.json",
+        "bad params file: OverflowError: int too large to convert to float",
+        id="params-weight-400-digits",
+    ),
+    pytest.param(
+        _with_params(feature_dim=int("1" * 400)),
+        "params policy {dir}/params.json",
+        "weights must have shape (" + "1" * 18 + "..." + "1" * 19 + ", 3), got (64, 3)",
+        id="params-feature-dim-400-digits",
+    ),
     # a --bind port that no socket can bind
     *[
         pytest.param(
@@ -1605,6 +1619,9 @@ def test_oversized_integer_names_its_field(workdir, capsys, argv, context, reaso
         pytest.param(
             _with_params(weights=[["x" * 5000, 0.0, 0.0]] + [[0.0] * 3] * 63),
             id="params-weight-5k",
+        ),
+        pytest.param(
+            _with_params(feature_dim=int("1" * 400)), id="params-feature-dim-400-digits"
         ),
     ],
 )

@@ -10,9 +10,14 @@ import pytest
 
 from http_stub import chat_body, start_scripted_server, stop_server
 
-from multiroute.config import ConfigError, load_pool_config, load_run_config
+from multiroute.config import (
+    ConfigError,
+    load_pool_config,
+    load_run_config,
+    policy_factory,
+)
 from multiroute.engine import EngineConfig
-from multiroute.policies import HttpPolicy, policy_factory
+from multiroute.policies import HttpPolicy
 from multiroute.pool import HttpBackend, SimulatedBackend, dispatch
 from multiroute.rewards import RewardConfig
 from multiroute.trainer import TrainConfig

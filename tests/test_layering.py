@@ -8,7 +8,8 @@ any such import.  The HTTP clients use the standard library, so ``requests``
 is a test dependency only.  ``rewards.check_field_types`` alone decides that
 a config number is finite, so no ``__post_init__`` repeats that check.  The
 server runs for a long time, so no memo of a function with parameters is
-unbounded.
+unbounded.  Every config section is built in ``config.py``, so no other
+module imports its section helpers.
 """
 
 from __future__ import annotations
@@ -77,6 +78,46 @@ def test_utf8_line_rule_lives_only_in_read_jsonl():
         for path in MODULES
     }
     assert {name: n for name, n in counts.items() if n} == {"pool.py": 1}
+
+
+# The names of ``config`` that other package modules may import.
+CONFIG_API = {"ConfigError", "RunConfig", "load_run_config", "policy_factory"}
+
+
+def names_imported_from(source: str, module: str) -> set[str]:
+    """The names that ``source`` imports from the package module ``module``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module == module)
+            or (node.level == 0 and node.module == f"{PACKAGE}.{module}")
+        ):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_checker_finds_names_imported_from_a_module():
+    source = (
+        "from .config import RunConfig, read_json\n"
+        "from multiroute.config import build_section\n"
+        "from .pool import read_jsonl\n"
+        "from other.config import x\n"
+    )
+    assert names_imported_from(source, "config") == {
+        "RunConfig", "read_json", "build_section"
+    }
+
+
+def test_config_sections_are_built_only_in_config():
+    """Only ``config.py`` uses its section helpers; the other modules take a
+    loaded run config, its error and the policy factory."""
+    extra = {
+        path.name: names_imported_from(path.read_text(encoding="utf-8"), "config")
+        - CONFIG_API
+        for path in MODULES
+        if path.name != "config.py"
+    }
+    assert {name: names for name, names in extra.items() if names} == {}
 
 
 def colon_partitions(source: str) -> list[str]:

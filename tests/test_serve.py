@@ -337,6 +337,13 @@ SERVER_ERRORS = {
     "version": (b"GET /health FOO/1.0\r\n\r\n", b"400"),
     "http-2": (b"GET /health HTTP/2.0\r\n\r\n", b"505"),
     "http-0.9-post": (b"POST /route\r\n\r\n", b"400"),
+    "http-0.9-get": (b"GET /health\r\n\r\n", b"505"),
+    "http-0.9-version": (b"GET /health HTTP/0.9\r\n\r\n", b"505"),
+    # The body is withheld: a server that read it would wait, then send 408,
+    # and one that ran the episode would send 200.
+    "http-0.9-route": (
+        b"POST /route HTTP/0.9\r\nContent-Length: 30\r\n\r\n", b"505"
+    ),
 }
 
 
