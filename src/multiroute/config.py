@@ -45,9 +45,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _object(value, context: str) -> dict:
+def _object(value, context: str, keys=None) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: {type(value).__name__} is not a JSON object")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"{context}: unknown key {reprlib.repr(key)}")
     return value
 
 
@@ -59,11 +62,7 @@ def build_section(cls, section, context: str, **fixed):
             a field of ``cls``, or ``cls`` rejects a value with a TypeError,
             ValueError or OverflowError.
     """
-    _object(section, context)
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in section:
-        if key not in names:
-            raise ConfigError(f"{context}: unknown key {reprlib.repr(key)}")
+    _object(section, context, {f.name for f in dataclasses.fields(cls)})
     try:
         return cls(**section, **fixed)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -108,6 +107,7 @@ def policy_factory(run: RunConfig):
     kind = section.get("kind")
     context = f"{kind} policy"
     if kind == "scripted":
+        _object(section, context, ("kind", "script", "script_path"))
         script = section.get("script")
         if section.get("script_path") is not None:
             path = _section_path(
@@ -127,6 +127,7 @@ def policy_factory(run: RunConfig):
         default = script.get("default", [])
         return lambda task: ScriptedPolicy(script.get(task.id, default))
     if kind == "params":
+        _object(section, context, ("kind", "path"))
         if not section.get("path"):
             raise ConfigError("params policy: 'path' is required")
         path = _section_path(section["path"], "path", context, run.base_dir)
@@ -170,29 +171,20 @@ def policy_factory(run: RunConfig):
     raise ConfigError(f"unknown policy kind {reprlib.repr(kind)}")
 
 
-def config_path(base_dir: str, path: str, what: str) -> str:
-    """``path`` joined to ``base_dir``; ``what`` names it in a ConfigError.
-
-    Raises:
-        ConfigError: the path holds a NUL byte, which no file name can hold;
-            the error shows the path through ``reprlib.repr``.
-        TypeError: ``path`` is not a string.
-    """
-    path = os.path.join(base_dir, path)
-    if "\0" in path:
-        raise ConfigError(f"{what} {reprlib.repr(path)}: a path cannot hold a NUL byte")
-    return path
-
-
 def _section_path(value, key: str, context: str, base_dir: str, what="") -> str:
     """``value``, the path under ``key`` in section ``context``, joined to
     ``base_dir``.  Raises ConfigError unless it is a nonempty string with no
-    NUL byte; ``what`` (``context`` by default) names it in the NUL error."""
+    NUL byte, which no file name can hold; ``what`` (``context`` by default)
+    names it in the NUL error."""
     if not isinstance(value, str):
         raise ConfigError(f"{context}: {key} must be a string")
     if not value:
         raise ConfigError(f"{context}: {key} must not be empty")
-    return config_path(base_dir, value, what or context)
+    path = os.path.join(base_dir, value)
+    if "\0" in path:
+        shown = reprlib.repr(path)
+        raise ConfigError(f"{what or context} {shown}: a path cannot hold a NUL byte")
+    return path
 
 
 def read_json(path: str, what: str):
@@ -214,10 +206,10 @@ def read_json(path: str, what: str):
 def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
     """Build a RoutingPool from a config path or an inline mapping."""
     if isinstance(source, str):
-        path = config_path(base_dir, source, "pool config")
+        path = _section_path(source, "pool", "run config", base_dir, "pool config")
         base_dir = os.path.dirname(path) or "."
         source = read_json(path, "pool config")
-    models = _object(source, "pool config").get("models")
+    models = _object(source, "pool config", ("models",)).get("models")
     if not isinstance(models, list) or not models:
         raise ConfigError("pool config: models must be a nonempty list")
     pool = RoutingPool()
@@ -235,7 +227,7 @@ def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
 
 
 def _lexicon_from(section) -> TagLexicon:
-    _object(section, "lexicon")
+    _object(section, "lexicon", [*(k.value for k in BlockKind), "info_aliases"])
     fields = {}
     for kind in (k.value for k in BlockKind):
         if kind in section:
@@ -284,7 +276,8 @@ def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     ``overrides`` maps dotted section keys ("reward.alpha", "trainer.steps",
     "engine.max_routing_steps", "seed") to values; None values are ignored.
     """
-    data = _object(read_json(path, "config file"), "run config")
+    keys = "pool engine reward trainer lexicon policy seed eval_warmup_costs".split()
+    data = _object(read_json(path, "config file"), "run config", keys)
 
     for key, value in (overrides or {}).items():
         section, _, leaf = key.rpartition(".")

@@ -22,6 +22,7 @@ from .pool import (
     BackendTimeout,
     CallRecord,
     RoutingPool,
+    check_timeout_ms,
     dispatch,
     token_count,
 )
@@ -118,8 +119,7 @@ class EngineConfig:
             raise ValueError(
                 "max_api_response_tokens cannot exceed max_sequence_tokens"
             )
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        check_timeout_ms(self.timeout_ms)
 
 
 class PolicyBackend(abc.ABC):

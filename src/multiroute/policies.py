@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import PolicyBackend
-from .pool import ChatEndpoint
+from .pool import ChatEndpoint, check_timeout_ms
 from .protocol import DEFAULT_LEXICON, TagLexicon
 
 
@@ -60,8 +60,7 @@ class HttpPolicy(ChatEndpoint, PolicyBackend):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        check_timeout_ms(self.timeout_ms)
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int

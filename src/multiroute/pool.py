@@ -15,6 +15,7 @@ import json
 import os
 import reprlib
 import ssl
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -97,6 +98,15 @@ def truncate_tokens(text: str, limit: int) -> str:
     if len(words) <= limit:
         return text
     return " ".join(words[:limit])
+
+
+def check_timeout_ms(timeout_ms: float) -> None:
+    """Raise ValueError unless a socket can take ``timeout_ms`` as its timeout."""
+    if timeout_ms <= 0:
+        raise ValueError("timeout_ms must be positive")
+    most = int(threading.TIMEOUT_MAX * 1000)
+    if timeout_ms > most:
+        raise ValueError(f"timeout_ms must be at most {most}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numbers
 import re
 import reprlib
 import string
+import sys
 import threading
 from bisect import bisect_left, insort
 from collections import Counter, deque
@@ -105,6 +106,8 @@ class RewardConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.window_capacity < 1:
             raise ValueError("window_capacity must be positive")
+        if self.window_capacity > sys.maxsize:
+            raise ValueError(f"window_capacity must be at most {sys.maxsize}")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.percentile_lo < self.percentile_hi <= 100.0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 
 import pytest
@@ -644,6 +645,12 @@ BAD_TIMEOUTS = (
     ("zero", 0, "timeout_ms must be positive"),
     ("negative", -5, "timeout_ms must be positive"),
     ("nan", float("nan"), "timeout_ms must be a finite number"),
+    # longer than any socket timeout, which ``settimeout`` would refuse
+    (
+        "over-socket-limit",
+        1e13,
+        f"timeout_ms must be at most {int(threading.TIMEOUT_MAX * 1000)}",
+    ),
 )
 
 
@@ -976,6 +983,13 @@ BAD_INPUTS = [
         "reward",
         "alpha must be a number",
         id="alpha-bool",
+    ),
+    # a window longer than a deque can hold
+    pytest.param(
+        _top_level(reward={"window_capacity": 10**19}),
+        "reward",
+        f"window_capacity must be at most {sys.maxsize}",
+        id="window-capacity-over-maxsize",
     ),
     # a blank question, which POST /route answers with 400
     pytest.param(
@@ -1534,6 +1548,50 @@ BAD_INPUTS = [
         "pool config {dir}/latin1_pool.json",
         "not UTF-8 text",
         id="pool-file-not-utf8",
+    ),
+    # a misspelled key in an object read outside a dataclass section
+    pytest.param(
+        _top_level(rewards={"alpha": 0.9}),
+        "run config",
+        "unknown key 'rewards'",
+        id="top-level-unknown-key",
+    ),
+    pytest.param(
+        _top_level(eval_warmup_cost=[1.0]),
+        "run config",
+        "unknown key 'eval_warmup_cost'",
+        id="top-level-misspelled-warmup-costs",
+    ),
+    pytest.param(
+        _route_with(lambda c: c["pool"].update(extra=1)),
+        "pool config",
+        "unknown key 'extra'",
+        id="pool-config-unknown-key",
+    ),
+    pytest.param(
+        _top_level(lexicon={"rout": ["<search>", "</search>"]}),
+        "lexicon",
+        "unknown key 'rout'",
+        id="lexicon-unknown-key",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "scirpt": FILM_SCRIPT}),
+        "scripted policy",
+        "unknown key 'scirpt'",
+        id="scripted-policy-unknown-key",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": "p.json", "temprature": 5}),
+        "params policy",
+        "unknown key 'temprature'",
+        id="params-policy-unknown-key",
+    ),
+    # an empty pool path, which names the config's own directory
+    pytest.param(
+        _top_level(pool=""),
+        "run config",
+        "pool must not be empty",
+        id="pool-path-empty",
     ),
 ]
 

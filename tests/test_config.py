@@ -20,7 +20,7 @@ from multiroute.engine import EngineConfig
 from multiroute.policies import HttpPolicy
 from multiroute.pool import HttpBackend, SimulatedBackend, dispatch
 from multiroute.rewards import RewardConfig
-from multiroute.trainer import TrainConfig
+from multiroute.trainer import PolicyParams, TrainConfig
 
 
 def _pool_mapping():
@@ -373,6 +373,90 @@ def test_http_policy_section_values_reach_the_policy(tmp_path):
     )
     assert (policy.temperature, policy.timeout_ms) == (1.0, 500.0)
     assert isinstance(policy.temperature, float)
+
+
+def _write_full_run_config(tmp_path, kind, pool_file, where=None):
+    """Write a run config that sets every section, with a ``kind`` policy and
+    its pool inline or, with ``pool_file``, in ``pool.json``.  The object at
+    the key path ``where``, if given, gets a ``"bogus"`` key.  Returns the
+    config's path."""
+    pool = _pool_mapping()
+    policies = {
+        "scripted": {"kind": "scripted", "script": {"default": []}},
+        "params": {"kind": "params", "path": "params.json"},
+        "http": {"kind": "http", "model": "m", "timeout_ms": 1000},
+    }
+    config = {
+        "pool": pool,
+        "engine": {"max_routing_steps": 2},
+        "reward": {"alpha": 0.5},
+        "trainer": {"steps": 1},
+        "lexicon": {"route": ["<search>", "</search>"]},
+        "policy": policies[kind],
+        "seed": 1,
+        "eval_warmup_costs": [1.0],
+    }
+    if where is not None:
+        target = config
+        for key in where:
+            target = target[key]
+        target["bogus"] = []
+    if pool_file:
+        (tmp_path / "pool.json").write_text(json.dumps(pool))
+        config["pool"] = "pool.json"
+    params = PolicyParams.initial(64, load_pool_config(_pool_mapping()))
+    (tmp_path / "params.json").write_text(params.to_json())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "where, context, kind, pool_file",
+    [
+        pytest.param((), "run config", "scripted", False, id="top-level"),
+        pytest.param(("pool",), "pool config", "scripted", False, id="pool-inline"),
+        pytest.param(("pool",), "pool config", "scripted", True, id="pool-file"),
+        pytest.param(("pool", "models", 0), "pool model #0", "scripted", True, id="model"),
+        pytest.param(
+            ("pool", "models", 0, "backend"), "pool model #0", "scripted", False,
+            id="sim-backend",
+        ),
+        pytest.param(
+            ("pool", "models", 1, "backend"), "pool model #1", "scripted", False,
+            id="http-backend",
+        ),
+        pytest.param(("engine",), "engine", "scripted", False, id="engine"),
+        pytest.param(("reward",), "reward", "scripted", False, id="reward"),
+        pytest.param(("trainer",), "trainer", "scripted", False, id="trainer"),
+        pytest.param(("lexicon",), "lexicon", "scripted", False, id="lexicon"),
+        pytest.param(
+            ("policy",), "scripted policy", "scripted", False, id="scripted-policy"
+        ),
+        pytest.param(("policy",), "params policy", "params", False, id="params-policy"),
+        pytest.param(("policy",), "http policy", "http", False, id="http-policy"),
+    ],
+)
+def test_every_run_config_object_rejects_an_unknown_key(
+    tmp_path, where, context, kind, pool_file
+):
+    # Without the key, the same config loads and builds its policy.
+    policy_factory(load_run_config(_write_full_run_config(tmp_path, kind, pool_file)))
+    path = _write_full_run_config(tmp_path, kind, pool_file, where)
+    with pytest.raises(ConfigError, match=f"^{context}: unknown key 'bogus'$"):
+        policy_factory(load_run_config(path))
+
+
+def test_kb_and_script_mappings_take_any_key(tmp_path):
+    """The inline ``kb`` is keyed by question and a ``script`` mapping by
+    task id, so an extra key in either is data."""
+    kb = ("pool", "models", 0, "backend", "kb")
+    run = load_run_config(_write_full_run_config(tmp_path, "scripted", False, kb))
+    assert run.pool.get("sim-small").backend.profile.knowledge_base["bogus"] == "[]"
+    script = ("policy", "script")
+    run = load_run_config(_write_full_run_config(tmp_path, "scripted", False, script))
+    assert run.policy["script"] == {"default": [], "bogus": []}
+    policy_factory(run)
 
 
 def test_inline_kb_keys_are_normalized_like_kb_files():

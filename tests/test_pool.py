@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import threading
 
 import pytest
 
@@ -25,6 +27,7 @@ from multiroute.pool import (
     SimulatedProfile,
     UnknownModelError,
     canonical,
+    check_timeout_ms,
     dispatch,
     load_knowledge_base,
     read_jsonl,
@@ -599,3 +602,16 @@ def test_unsendable_api_key_is_named_but_never_shown(monkeypatch, key):
     assert "MULTIROUTE_API_KEY" in str(exc_info.value)
     assert "s3cr3t" not in str(exc_info.value)
     assert connections == []
+
+
+def test_the_longest_timeout_ms_allowed_fits_a_socket():
+    """``check_timeout_ms`` allows what a socket takes and nothing longer,
+    so a config timeout can never fail in ``settimeout``."""
+    most = int(threading.TIMEOUT_MAX * 1000)
+    check_timeout_ms(most)
+    with socket.socket() as sock:
+        sock.settimeout(most / 1000.0)
+    with pytest.raises(ValueError, match=f"^timeout_ms must be at most {most}$"):
+        check_timeout_ms(most + 1000)
+    with pytest.raises(ValueError, match="^timeout_ms must be positive$"):
+        check_timeout_ms(0)
