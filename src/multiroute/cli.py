@@ -72,7 +72,7 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(summary.to_record(), sort_keys=True) + "\n")
+            handle.write(report(summary, fmt="machine") + "\n")
     if args.episodes_log:
         write_episode_log(args.episodes_log, episodes)
     # Printed last, so a file that cannot be written leaves stdout empty.

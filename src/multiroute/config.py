@@ -45,7 +45,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _object(value, context: str, keys=None) -> dict:
+def json_object(value, context: str, keys=None) -> dict:
+    """``value``, which must be a JSON object holding no key outside ``keys``
+    (any key when ``keys`` is None); raises ConfigError naming ``context``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: {type(value).__name__} is not a JSON object")
     for key in value if keys is not None else ():
@@ -62,7 +64,7 @@ def build_section(cls, section, context: str, **fixed):
             a field of ``cls``, or ``cls`` rejects a value with a TypeError,
             ValueError or OverflowError.
     """
-    _object(section, context, {f.name for f in dataclasses.fields(cls)})
+    json_object(section, context, {f.name for f in dataclasses.fields(cls)})
     try:
         return cls(**section, **fixed)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -70,12 +72,12 @@ def build_section(cls, section, context: str, **fixed):
 
 
 def _build_backend(section, context: str, base_dir: str):
-    fields = dict(_object(section, f"{context}: backend"))
+    fields = dict(json_object(section, f"{context}: backend"))
     kind = fields.pop("type", None)
     if kind == "sim":
         kb = fields.pop("kb", {})
-        kb_path = fields.pop("kb_path", None)
-        if kb_path is not None:
+        if "kb_path" in fields:
+            kb_path = fields.pop("kb_path")
             kb_file = _section_path(
                 kb_path, "kb_path", context, base_dir, f"{context}: kb_path"
             )
@@ -88,7 +90,7 @@ def _build_backend(section, context: str, base_dir: str):
         else:
             kb = {
                 normalize_answer(str(key)): str(answer)
-                for key, answer in _object(kb, f"{context}: kb").items()
+                for key, answer in json_object(kb, f"{context}: kb").items()
             }
         profile = build_section(SimulatedProfile, fields, context, knowledge_base=kb)
         return SimulatedBackend(profile)
@@ -107,15 +109,15 @@ def policy_factory(run: RunConfig):
     kind = section.get("kind")
     context = f"{kind} policy"
     if kind == "scripted":
-        _object(section, context, ("kind", "script", "script_path"))
-        script = section.get("script")
-        if section.get("script_path") is not None:
+        json_object(section, context, ("kind", "script", "script_path"))
+        script = section.get("script", [])
+        if "script_path" in section:
             path = _section_path(
                 section["script_path"], "script_path", context, run.base_dir
             )
             script = read_json(path, context)
-        if script is None or isinstance(script, list):
-            script = {"default": script or []}
+        if isinstance(script, list):
+            script = {"default": script}
         if not isinstance(script, dict) or not all(
             isinstance(lines, list) and all(isinstance(line, str) for line in lines)
             for lines in script.values()
@@ -127,7 +129,7 @@ def policy_factory(run: RunConfig):
         default = script.get("default", [])
         return lambda task: ScriptedPolicy(script.get(task.id, default))
     if kind == "params":
-        _object(section, context, ("kind", "path"))
+        json_object(section, context, ("kind", "path"))
         if not section.get("path"):
             raise ConfigError("params policy: 'path' is required")
         path = _section_path(section["path"], "path", context, run.base_dir)
@@ -173,17 +175,22 @@ def policy_factory(run: RunConfig):
 
 def _section_path(value, key: str, context: str, base_dir: str, what="") -> str:
     """``value``, the path under ``key`` in section ``context``, joined to
-    ``base_dir``.  Raises ConfigError unless it is a nonempty string with no
-    NUL byte, which no file name can hold; ``what`` (``context`` by default)
-    names it in the NUL error."""
+    ``base_dir``.  Raises ConfigError unless it is a nonempty string that a
+    file name can hold: no NUL byte, and nothing the file system encoding
+    cannot encode, such as a lone surrogate.  ``what`` (``context`` by
+    default) names it, shown escaped, in those two errors."""
     if not isinstance(value, str):
         raise ConfigError(f"{context}: {key} must be a string")
     if not value:
         raise ConfigError(f"{context}: {key} must not be empty")
     path = os.path.join(base_dir, value)
+    shown = f"{what or context} {reprlib.repr(path)}"
     if "\0" in path:
-        shown = reprlib.repr(path)
-        raise ConfigError(f"{what or context} {shown}: a path cannot hold a NUL byte")
+        raise ConfigError(f"{shown}: a path cannot hold a NUL byte")
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigError(f"{shown}: a path cannot be encoded as a file name") from None
     return path
 
 
@@ -209,13 +216,13 @@ def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
         path = _section_path(source, "pool", "run config", base_dir, "pool config")
         base_dir = os.path.dirname(path) or "."
         source = read_json(path, "pool config")
-    models = _object(source, "pool config", ("models",)).get("models")
+    models = json_object(source, "pool config", ("models",)).get("models")
     if not isinstance(models, list) or not models:
         raise ConfigError("pool config: models must be a nonempty list")
     pool = RoutingPool()
     for i, entry in enumerate(models):
         context = f"pool model #{i}"
-        fields = dict(_object(entry, context))
+        fields = dict(json_object(entry, context))
         backend = _build_backend(fields.pop("backend", None), context, base_dir)
         fields.setdefault("display_name", fields.get("id"))
         descriptor = build_section(ModelDescriptor, fields, context, backend=backend)
@@ -227,7 +234,7 @@ def load_pool_config(source, base_dir: str = ".") -> RoutingPool:
 
 
 def _lexicon_from(section) -> TagLexicon:
-    _object(section, "lexicon", [*(k.value for k in BlockKind), "info_aliases"])
+    json_object(section, "lexicon", [*(k.value for k in BlockKind), "info_aliases"])
     fields = {}
     for kind in (k.value for k in BlockKind):
         if kind in section:
@@ -235,7 +242,7 @@ def _lexicon_from(section) -> TagLexicon:
             if not (isinstance(value, list) and len(value) == 2):
                 raise ConfigError(f"lexicon: {kind} must be an [open, close] pair")
             fields[f"{kind}_open"], fields[f"{kind}_close"] = value
-    if section.get("info_aliases") is not None:
+    if "info_aliases" in section:
         fields["info_aliases"] = section["info_aliases"]
     return build_section(TagLexicon, fields, "lexicon")
 
@@ -277,7 +284,7 @@ def load_run_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     "engine.max_routing_steps", "seed") to values; None values are ignored.
     """
     keys = "pool engine reward trainer lexicon policy seed eval_warmup_costs".split()
-    data = _object(read_json(path, "config file"), "run config", keys)
+    data = json_object(read_json(path, "config file"), "run config", keys)
 
     for key, value in (overrides or {}).items():
         section, _, leaf = key.rpartition(".")

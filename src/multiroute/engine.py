@@ -25,6 +25,7 @@ from .pool import (
     check_timeout_ms,
     dispatch,
     token_count,
+    truncate_tokens,
 )
 from .protocol import (
     DEFAULT_LEXICON,
@@ -299,7 +300,7 @@ def _fit_info_to_budget(
             block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
             return block, block_tokens
         info_tokens = max(0, info_tokens - overflow)
-        info_text = " ".join(info_text.split()[:info_tokens])
+        info_text = truncate_tokens(info_text, info_tokens)
 
 
 def score_episode(

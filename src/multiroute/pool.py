@@ -152,15 +152,18 @@ class SimulatedBackend:
         if answer is None or unit_draw(profile.seed, "accuracy", sub_query) >= (
             profile.accuracy
         ):
-            return self._pad_to_verbosity(UNABLE_RESPONSE), None, 0.0
+            return self._pad_to_verbosity(UNABLE_RESPONSE, max_tokens), None, 0.0
         answer_line = " ".join(str(answer).split())
-        return self._pad_to_verbosity(answer_line), None, 0.0
+        return self._pad_to_verbosity(answer_line, max_tokens), None, 0.0
 
-    def _pad_to_verbosity(self, content: str) -> str:
+    def _pad_to_verbosity(self, content: str, max_tokens: int) -> str:
         """Fixed reply length: exactly ``verbosity`` tokens unless the content
         itself is longer, so a model's per-call cost does not leak whether it
-        answered."""
-        padding = self.profile.verbosity - token_count(content)
+        answered.  Padding stops at ``max_tokens + 1`` tokens, one over the
+        cap, so ``dispatch`` still cuts the reply to the same first
+        ``max_tokens`` as it would the full padding."""
+        most = min(self.profile.verbosity, max_tokens + 1)
+        padding = most - token_count(content)
         if padding <= 0:
             return content
         cycles, rest = divmod(padding, len(_FILLER_WORDS))

@@ -47,9 +47,12 @@ class TagLexicon:
     info_aliases: tuple[tuple[str, str], ...] = (("<info>", "</info>"),)
 
     def __post_init__(self) -> None:
-        aliases = tuple(tuple(pair) for pair in self.info_aliases)
-        if any(isinstance(p, str) or len(p) != 2 for p in self.info_aliases):
+        pairs = self.info_aliases
+        if not isinstance(pairs, (list, tuple)) or any(
+            not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs
+        ):
             raise ValueError("info_aliases must be (open, close) pairs")
+        aliases = tuple(tuple(pair) for pair in pairs)
         object.__setattr__(self, "info_aliases", aliases)
         lexemes = [lex for o, c, _ in self.open_close_pairs() for lex in (o, c)]
         if any(not isinstance(lex, str) or not lex for lex in lexemes):

@@ -1,7 +1,8 @@
 """Minimal HTTP service exposing the routing engine.
 
 POST /route with {"question": ..., "golds": [...]} runs one episode and
-returns its record; rewards are included only when golds are supplied.
+returns its record; rewards are included only when golds are supplied, and
+a body with any other key gets a 400.
 ``Router`` answers it, and ``multiroute route`` prints the same record.
 GET /health reports liveness.  A semaphore bounds in-flight episodes; the
 shared cost window gives the service online cost normalization across
@@ -15,14 +16,14 @@ accepted.
 
 from __future__ import annotations
 
-import collections
 import json
+import queue
 import signal
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-from .config import RunConfig, policy_factory
+from .config import RunConfig, json_object, policy_factory
 from .engine import run_episode
 from .evaluation import TaskRecord
 from .rewards import CostWindow, cost_reward
@@ -84,10 +85,7 @@ class RoutingHTTPServer(HTTPServer, Router):
     def __init__(self, address, run: RunConfig, max_inflight: int):
         # Built first: a negative bound raises before the port is bound.
         self.inflight = threading.Semaphore(max_inflight)
-        # Jobs wait in a deque that a semaphore counts: importing ``queue``
-        # would add about 120 KiB to every process that imports this module.
-        self._jobs: collections.deque = collections.deque()
-        self._queued = threading.Semaphore(0)
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._workers: list[threading.Thread] = []
         # Open connections, and those of them whose reply has not started.
         self._connections: set[socket.socket] = set()
@@ -106,18 +104,10 @@ class RoutingHTTPServer(HTTPServer, Router):
             worker = threading.Thread(target=self._work, daemon=True)
             self._workers.append(worker)
             worker.start()
-        self._put((request, client_address))
-
-    def _put(self, job) -> None:
-        self._jobs.append(job)
-        self._queued.release()
-
-    def _next_job(self):
-        self._queued.acquire()
-        return self._jobs.popleft()
+        self._jobs.put((request, client_address))
 
     def _work(self) -> None:
-        while (job := self._next_job()) is not None:
+        while (job := self._jobs.get()) is not None:
             request, client_address = job
             try:
                 self.finish_request(request, client_address)
@@ -141,7 +131,7 @@ class RoutingHTTPServer(HTTPServer, Router):
             except OSError:
                 pass
         for _ in self._workers:
-            self._put(None)
+            self._jobs.put(None)
         for worker in self._workers:
             worker.join()
         self._workers.clear()
@@ -217,8 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(self.rfile.read(int(digits)) or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
+            json_object(payload, "body", ("question", "golds"))
             task = TaskRecord(
                 id=None, question=payload["question"], golds=payload.get("golds")
             )

@@ -30,13 +30,14 @@ from .engine import (
     run_episode,
 )
 from .pool import RoutingPool
-from .protocol import BlockKind, TagLexicon
+from .protocol import TagLexicon
 from .rewards import (
     CostWindow,
     RewardConfig,
     check_field_types,
     cost_reward,
     memoize_short_text,
+    normalize_answer,
 )
 
 ANSWER_ACTION = "answer"
@@ -321,9 +322,10 @@ class EpisodeSample:
 class LearnedRoutingPolicy(PolicyBackend):
     """Engine adapter around PolicyParams.
 
-    Each generate call absorbs any new info blocks from the context delta,
-    then either emits a route directive for the sampled model or answers by
-    joining the distinct helpful replies seen so far (first lines only).
+    Each generate call after a route first reads the reply to it, the info
+    block the engine put right after the route directive, then either emits
+    a route directive for the sampled model or answers by joining the
+    helpful replies seen so far (first lines only).
 
     Decisions are drawn from row ``position`` of ``table``, a
     `DecisionTable` over the same params and ``max_steps`` whose question
@@ -351,15 +353,15 @@ class LearnedRoutingPolicy(PolicyBackend):
         self.decisions: list[DecisionStep] = []
         self._table = table or DecisionTable(params, [question], max_steps)
         self._position = position
-        self._prev_context_len: Optional[int] = None
+        self._reply_at: Optional[int] = None
         self._facts: list[str] = []
 
     def generate(
         self, context: str, stop_markers: list[str], max_tokens: int
     ) -> str:
-        if self._prev_context_len is not None:
-            self._absorb_info(context[self._prev_context_len :])
-        self._prev_context_len = len(context)
+        if self._reply_at is not None:
+            self._absorb_info(context)
+        self._reply_at = None
 
         lex = self.lexicon
         answer_only = lex.route_close not in stop_markers
@@ -372,11 +374,14 @@ class LearnedRoutingPolicy(PolicyBackend):
         if self.params.actions[index] == ANSWER_ACTION:
             return self._emit_answer()
         model = self.pool.get(self.params.actions[index])
-        return (
+        directive = (
             f"{lex.think_open}I still need information for this question; "
             f"{model.display_name} looks suitable.{lex.think_close}\n"
             f"{lex.route_open}{model.display_name}: {self.question}{lex.route_close}"
         )
+        # The engine puts the reply to this route right after it.
+        self._reply_at = len(context) + len(directive)
+        return directive
 
     def _emit_answer(self) -> str:
         lex = self.lexicon
@@ -386,28 +391,19 @@ class LearnedRoutingPolicy(PolicyBackend):
             f"{lex.answer_open}{answer}{lex.answer_close}"
         )
 
-    def _absorb_info(self, delta: str) -> None:
-        # Every helpful reply's first line is kept, duplicates included: the
-        # answer is a faithful join of what was gathered, so redundant calls
-        # degrade it and exact match itself penalizes over-routing.
-        for opener, closer, kind in self.lexicon.open_close_pairs():
-            if kind is not BlockKind.INFO:
-                continue
-            cursor = 0
-            while True:
-                start = delta.find(opener, cursor)
-                if start == -1:
-                    break
-                end = delta.find(closer, start + len(opener))
-                if end == -1:
-                    break
-                interior = delta[start + len(opener) : end].strip()
-                cursor = end + len(closer)
-                if not interior or interior.startswith(UNHELPFUL_INFO_PREFIXES):
-                    continue
-                fact = interior.splitlines()[0].strip()
-                if fact:
-                    self._facts.append(fact)
+    def _absorb_info(self, context: str) -> None:
+        # The reply is the first info block from ``_reply_at``.  A helpful
+        # reply's first line is kept, duplicates included: the answer is a
+        # faithful join of what was gathered, so redundant calls degrade it
+        # and exact match itself penalizes over-routing.
+        opener, closer = self.lexicon.info_open, self.lexicon.info_close
+        start = context.find(opener, self._reply_at)
+        end = context.find(closer, start + len(opener))
+        if start == -1 or end == -1:
+            return
+        interior = context[start + len(opener) : end].strip()
+        if interior and not interior.startswith(UNHELPFUL_INFO_PREFIXES):
+            self._facts.append(interior.splitlines()[0].strip())
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -765,8 +761,6 @@ def make_synthetic_tasks(
 
 def knowledge_bases_for(tasks: Sequence[SyntheticTask]) -> dict[str, dict]:
     """Per-model KBs (normalized question -> answer) for the task set."""
-    from .rewards import normalize_answer
-
     kbs: dict[str, dict] = {}
     for task in tasks:
         key = normalize_answer(task.question)

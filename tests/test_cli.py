@@ -15,7 +15,11 @@ from multiroute.cli import main
 from multiroute.config import load_run_config
 from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
 from multiroute.evaluation import MetricsSummary, load_tasks
-from multiroute.pool import UNABLE_RESPONSE, token_count
+from multiroute.pool import (
+    DEFAULT_MAX_API_RESPONSE_TOKENS,
+    UNABLE_RESPONSE,
+    token_count,
+)
 from multiroute.protocol import DirectiveError, DirectiveErrorKind
 from multiroute.rewards import normalize_answer
 from multiroute.serve import POLL_INTERVAL_S, build_server
@@ -1593,6 +1597,50 @@ BAD_INPUTS = [
         "pool must not be empty",
         id="pool-path-empty",
     ),
+    # a null path, script or alias list, which is no more a value than ""
+    pytest.param(
+        _sim_backend(kb_path=None),
+        "pool model #0",
+        "kb_path must be a string",
+        id="kb-path-null",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script": [], "script_path": None}),
+        "scripted policy",
+        "script_path must be a string",
+        id="script-path-null",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "scripted", "script": None}),
+        "scripted policy",
+        "script must be a list of strings or a mapping of such lists",
+        id="script-null",
+    ),
+    pytest.param(
+        _top_level(lexicon={"info_aliases": None}),
+        "lexicon",
+        "info_aliases must be (open, close) pairs",
+        id="info-aliases-null",
+    ),
+    # a path holding a lone surrogate, which no file name can encode
+    pytest.param(
+        _top_level(pool="/po\ud800ol.json"),
+        "pool config '/po\\ud800ol.json'",
+        "a path cannot be encoded as a file name",
+        id="pool-path-surrogate",
+    ),
+    pytest.param(
+        _sim_backend(kb_path="/k\ud800b.jsonl"),
+        "pool model #0: kb_path '/k\\ud800b.jsonl'",
+        "a path cannot be encoded as a file name",
+        id="kb-path-surrogate",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "params", "path": "/p\ud800q"}),
+        "params policy '/p\\ud800q'",
+        "a path cannot be encoded as a file name",
+        id="params-path-surrogate",
+    ),
 ]
 
 
@@ -1618,6 +1666,19 @@ def test_nul_byte_in_a_path_is_shown_escaped(workdir, capsys, argv, context, rea
     err = capsys.readouterr().err
     assert "\x00" not in err
     assert err == f"error: {context}: {reason}\n"
+
+
+@pytest.mark.parametrize("verbosity", [10**19, 10**30])
+def test_huge_verbosity_pads_only_what_dispatch_keeps(workdir, capsys, verbosity):
+    """A sim reply is padded to one token over the dispatch cap at most, so
+    a verbosity no list could hold routes like one just over the cap."""
+    records = []
+    for value in (verbosity, DEFAULT_MAX_API_RESPONSE_TOKENS + 1):
+        assert main(_sim_backend(verbosity=value)(workdir)) == 0
+        records.append(json.loads(capsys.readouterr().out))
+    assert records[0] == records[1]
+    [call] = records[0]["calls"]
+    assert call["output_tokens"] == DEFAULT_MAX_API_RESPONSE_TOKENS
 
 
 @pytest.mark.parametrize(

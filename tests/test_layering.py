@@ -9,7 +9,9 @@ is a test dependency only.  ``rewards.check_field_types`` alone decides that
 a config number is finite, so no ``__post_init__`` repeats that check.  The
 server runs for a long time, so no memo of a function with parameters is
 unbounded.  Every config section is built in ``config.py``, so no other
-module imports its section helpers.
+module imports its section helpers; ``serve`` shares its one JSON-object rule
+for a request body.  Imports sit at a module's top level only, besides an
+``if TYPE_CHECKING:`` block.
 """
 
 from __future__ import annotations
@@ -57,6 +59,49 @@ def test_module_imports_no_private_names(path):
     assert private_imports(path.read_text(encoding="utf-8"), path.name) == []
 
 
+def nested_imports(source: str, filename: str = "<source>") -> list[str]:
+    """``<file>:<line>`` for each import in ``source`` that is not a
+    statement of the module itself or of its ``if TYPE_CHECKING:`` block."""
+    found = []
+    for statement in ast.parse(source, filename=filename).body:
+        if isinstance(statement, (ast.Import, ast.ImportFrom)) or (
+            isinstance(statement, ast.If)
+            and isinstance(statement.test, ast.Name)
+            and statement.test.id == "TYPE_CHECKING"
+        ):
+            continue
+        found.extend(
+            node.lineno
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        )
+    return [f"{filename}:{line}" for line in sorted(found)]
+
+
+def test_checker_finds_imports_below_the_top_level():
+    source = (
+        "import os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .pool import RoutingPool\n"
+        "def f():\n"
+        "    from .rewards import normalize_answer\n"
+        "    def g():\n"
+        "        import json\n"
+        "class A:\n"
+        "    def m(self):\n"
+        "        import re\n"
+    )
+    assert nested_imports(source) == ["<source>:6", "<source>:8", "<source>:11"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_module_imports_only_at_its_top_level(path):
+    """A module's imports are read at its top, so a function body imports
+    nothing and an import cycle shows up when the module loads."""
+    assert nested_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
 def test_checker_flags_relative_and_absolute_private_imports():
     source = (
         "from .cli import _policy_factory\n"
@@ -81,7 +126,13 @@ def test_utf8_line_rule_lives_only_in_read_jsonl():
 
 
 # The names of ``config`` that other package modules may import.
-CONFIG_API = {"ConfigError", "RunConfig", "load_run_config", "policy_factory"}
+CONFIG_API = {
+    "ConfigError",
+    "RunConfig",
+    "json_object",
+    "load_run_config",
+    "policy_factory",
+}
 
 
 def names_imported_from(source: str, module: str) -> set[str]:

@@ -299,6 +299,25 @@ def test_body_that_is_not_an_object_is_400(server, body):
     assert response.status_code == 200
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (
+            {"question": FILM_Q, "gold": [FILM_GOLD]},
+            "body: unknown key 'gold'",
+        ),
+        (["question", FILM_Q], "body: list is not a JSON object"),
+    ],
+    ids=["misspelled-gold", "list"],
+)
+def test_body_is_read_by_the_run_config_object_rule(server, body, error):
+    """A body key other than question and golds is refused, as a run
+    config refuses an unknown key, so a misspelled gold is never unscored."""
+    response = requests.post(f"{server.base_url}/route", json=body, timeout=5)
+    assert response.status_code == 400
+    assert response.json() == {"error": error}
+
+
 def test_deeply_nested_body_is_400(server):
     response = requests.post(
         f"{server.base_url}/route", data="[" * 100_000, timeout=5

@@ -783,6 +783,24 @@ def test_adapter_absorbs_info_and_answers_with_it():
     assert "<answer>Fact line</answer>" in second
 
 
+def test_adapter_reads_only_the_reply_after_its_route():
+    """The route directive echoes the question; info tags in it are not a
+    reply, so only the block the engine puts after the directive is read."""
+    pool = _two_model_pool()
+    policy = LearnedRoutingPolicy(
+        _forced_params(pool, route_id="m1", answer_round=1),
+        "q <information>echo</information>?",
+        pool,
+        np.random.default_rng(0),
+        DEFAULT_LEXICON,
+    )
+    first = policy.generate("P", ["</search>", "</answer>"], 128)
+    assert "<information>echo</information>" in first
+    context = "P" + first + "\n<information>Fact line</information>\n"
+    second = policy.generate(context, ["</search>", "</answer>"], 128)
+    assert "<answer>Fact line</answer>" in second
+
+
 def test_adapter_skips_unhelpful_info():
     pool = _two_model_pool()
     policy = LearnedRoutingPolicy(
