@@ -27,7 +27,7 @@ from .evaluation import (
     write_episode_log,
 )
 from .pool import BackendError, BackendTimeout, LineError, read_jsonl
-from .protocol import extract_answer, validate_format
+from .protocol import validate_format
 from .rewards import CostWindow, cost_reward
 from .serve import (
     DEFAULT_HOST,
@@ -132,18 +132,10 @@ def cmd_reward_check(args: argparse.Namespace, run: RunConfig) -> int:
                 detail = "golden_answers must be a nonempty string list"
                 raise LineError(line_no, detail)
             verdict = validate_format(raw, run.engine.lexicon, run.pool)
-            trajectory = verdict.trajectory
-            cost = reconstruct_cost(trajectory, run.pool) if trajectory else 0.0
+            cost = reconstruct_cost(verdict.trajectory, run.pool)
             if not math.isfinite(cost):
                 raise LineError(line_no, "re-priced cost is not finite")
-            breakdown = score_episode(
-                verdict,
-                extract_answer(trajectory) if trajectory else None,
-                golds,
-                cost,
-                window,
-                run.reward,
-            )
+            breakdown = score_episode(verdict, golds, cost, window, run.reward)
             record = {
                 "id": row.get("id", line_no),
                 "ok": verdict.ok,

@@ -61,10 +61,11 @@ def build_section(cls, section, context: str, **fixed):
 
     Raises:
         ConfigError: the section is not an object, holds a key that is not
-            a field of ``cls``, or ``cls`` rejects a value with a TypeError,
-            ValueError or OverflowError.
+            a field of ``cls`` or that ``fixed`` gives, or ``cls`` rejects a
+            value with a TypeError, ValueError or OverflowError.
     """
-    json_object(section, context, {f.name for f in dataclasses.fields(cls)})
+    keys = {f.name for f in dataclasses.fields(cls)} - fixed.keys()
+    json_object(section, context, keys)
     try:
         return cls(**section, **fixed)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -87,6 +88,8 @@ def _build_backend(section, context: str, base_dir: str):
                 raise ConfigError(f"{context}: {kb_file}: {exc}") from None
             except OSError as exc:
                 raise ConfigError(f"{context}: {exc}")
+            if "kb" in section:
+                raise ConfigError(f"{context}: give kb or kb_path, not both")
         else:
             kb = {
                 normalize_answer(str(key)): str(answer)
@@ -116,6 +119,8 @@ def policy_factory(run: RunConfig):
                 section["script_path"], "script_path", context, run.base_dir
             )
             script = read_json(path, context)
+            if "script" in section:
+                raise ConfigError(f"{context}: give script or script_path, not both")
         if isinstance(script, list):
             script = {"default": script}
         if not isinstance(script, dict) or not all(

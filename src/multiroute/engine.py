@@ -93,6 +93,13 @@ PROMPT_TEMPLATE = (
 _PROMPT_HEAD, _PROMPT_TAIL = PROMPT_TEMPLATE.split("{question}")
 
 
+# The most tokens a context may hold: a million, far past the 4096 default.
+# ``max_api_response_tokens`` is at most this, and a simulated reply pads to
+# at most one word over that, so a config cannot ask for a reply of more than
+# about 8 MiB of text.
+MAX_SEQUENCE_TOKENS = 2**20
+
+
 class EmptyPoolError(ValueError):
     pass
 
@@ -116,6 +123,9 @@ class EngineConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.max_sequence_tokens > MAX_SEQUENCE_TOKENS:
+            most = MAX_SEQUENCE_TOKENS
+            raise ValueError(f"max_sequence_tokens must be at most {most}")
         if self.max_api_response_tokens > self.max_sequence_tokens:
             raise ValueError(
                 "max_api_response_tokens cannot exceed max_sequence_tokens"
@@ -293,19 +303,20 @@ def _fit_info_to_budget(
     ``info_tokens`` counts ``info_text`` and ``context_tokens`` the context
     the block joins.  Returns the block and its own token count.
     """
-    while True:
-        block_tokens = _info_block_tokens(info_text, info_tokens, lexicon)
-        overflow = context_tokens + block_tokens - config.max_sequence_tokens
-        if overflow <= 0 or info_tokens == 0:
-            block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
-            return block, block_tokens
+    block_tokens = _info_block_tokens(info_text, info_tokens, lexicon)
+    overflow = context_tokens + block_tokens - config.max_sequence_tokens
+    if overflow > 0:
+        # A trimmed text starts and ends with a word, so it sticks to its
+        # tags at least as tightly as the full text did, and one trim fits.
         info_tokens = max(0, info_tokens - overflow)
         info_text = truncate_tokens(info_text, info_tokens)
+        block_tokens = _info_block_tokens(info_text, info_tokens, lexicon)
+    block = f"\n{lexicon.info_open}{info_text}{lexicon.info_close}\n"
+    return block, block_tokens
 
 
 def score_episode(
     verdict: FormatVerdict,
-    final_answer: Optional[str],
     golds: Optional[list[str]],
     cost_raw: float,
     window: CostWindow,
@@ -313,9 +324,12 @@ def score_episode(
 ) -> RewardBreakdown:
     """Score one finished trajectory: format gate, exact match, cost term.
 
-    A missing answer or missing golds score outcome 0.  ``cost_raw`` is
-    pushed into ``window`` whatever the verdict.
+    The answer is read off ``verdict.trajectory``.  A missing answer or
+    missing golds score outcome 0.  ``cost_raw`` is pushed into ``window``
+    whatever the verdict.
     """
+    trajectory = verdict.trajectory
+    final_answer = extract_answer(trajectory) if trajectory else None
     outcome = (
         float(exact_match(final_answer, golds))
         if final_answer is not None and golds
@@ -327,16 +341,17 @@ def score_episode(
     )
 
 
-def reconstruct_cost(trajectory: Trajectory, pool: RoutingPool) -> float:
+def reconstruct_cost(trajectory: Optional[Trajectory], pool: RoutingPool) -> float:
     """Re-price a logged trajectory from its route/info pairs.
 
     Each info block bills its route's model per whitespace token, except the
     failure notices the engine injects (``FAILURE_NOTICE_PREFIXES``), which
-    bill nothing, as their calls did.
+    bill nothing, as their calls did.  A trajectory that did not parse
+    (None) bills nothing.
     """
     cost = 0.0
     pending = None
-    for block in trajectory.blocks:
+    for block in trajectory.blocks if trajectory else ():
         if block.kind is BlockKind.ROUTE:
             try:
                 model_id, _ = parse_route_directive(block.text, pool)
@@ -415,14 +430,9 @@ def run_episode(
         context_tokens += block_tokens
 
     verdict = validate_format(trajectory_text, lexicon, pool)
-    episode = Episode(question, golds, trajectory_text, verdict, calls, rewards=None)
-    if golds is not None:
-        episode.rewards = score_episode(
-            verdict,
-            episode.final_answer,
-            golds,
-            episode_cost_raw(calls),
-            window,
-            reward_config,
-        )
-    return episode
+    rewards = (
+        score_episode(verdict, golds, episode_cost_raw(calls), window, reward_config)
+        if golds is not None
+        else None
+    )
+    return Episode(question, golds, trajectory_text, verdict, calls, rewards)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .engine import EngineConfig, Episode, PolicyBackend, run_episode
-from .pool import LineError as TaskFileError, RoutingPool, read_jsonl
+from .pool import LineError as TaskFileError, RoutingPool, check_utf8, read_jsonl
 from .rewards import CostWindow, RewardConfig, cost_reward, exact_match, f1_score
 
 
@@ -32,12 +32,7 @@ class TaskRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.question, str) or not self.question.strip():
             raise ValueError("question must be a nonempty string")
-        try:
-            self.question.encode()
-        except UnicodeEncodeError as exc:
-            raise ValueError(
-                f"question holds a lone surrogate at index {exc.start}"
-            ) from None
+        check_utf8("question", self.question)
         if self.golds is not None and not is_gold_list(self.golds):
             raise ValueError("golds must be a nonempty list of strings")
 

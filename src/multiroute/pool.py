@@ -88,6 +88,16 @@ def unit_draw(seed: int, label: str, text: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
+def check_utf8(name: str, text: str) -> None:
+    """Raise ValueError unless ``text`` encodes as UTF-8: it must hold no
+    lone surrogate, which JSON's "\\ud800" escape reads as."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        detail = f"holds a lone surrogate at index {exc.start}"
+        raise ValueError(f"{name} {detail}") from None
+
+
 def token_count(text: str) -> int:
     """Whitespace token count, the accounting unit for response budgets."""
     return len(text.split())
@@ -395,6 +405,7 @@ class ModelDescriptor:
         for name in ("id", "display_name", "descriptor_text"):
             if not getattr(self, name).strip():
                 raise ValueError(f"{name} must be nonempty")
+            check_utf8(name, getattr(self, name))
         if self.param_count_b <= 0:
             raise ValueError("param_count_b must be positive")
         if self.cost_per_token < 0:

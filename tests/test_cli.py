@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 import threading
@@ -13,7 +14,11 @@ import requests
 from multiroute import cli
 from multiroute.cli import main
 from multiroute.config import load_run_config
-from multiroute.engine import NO_ASSISTANCE_TEXT, _directive_error_notice
+from multiroute.engine import (
+    MAX_SEQUENCE_TOKENS,
+    NO_ASSISTANCE_TEXT,
+    _directive_error_notice,
+)
 from multiroute.evaluation import MetricsSummary, load_tasks
 from multiroute.pool import (
     DEFAULT_MAX_API_RESPONSE_TOKENS,
@@ -1641,6 +1646,77 @@ BAD_INPUTS = [
         "a path cannot be encoded as a file name",
         id="params-path-surrogate",
     ),
+    # a model id holding a lone surrogate, which the eval table cannot print
+    pytest.param(
+        _model(id="llama\ud800"),
+        "pool model #0",
+        "id holds a lone surrogate at index 5",
+        id="model-id-surrogate",
+    ),
+    # a field the loader fills in itself
+    pytest.param(
+        _sim_backend(knowledge_base={}),
+        "pool model #0",
+        "unknown key 'knowledge_base'",
+        id="sim-knowledge-base-key",
+    ),
+    pytest.param(
+        _top_level(engine={"lexicon": {}}),
+        "engine",
+        "unknown key 'lexicon'",
+        id="engine-lexicon-key",
+    ),
+    pytest.param(
+        _top_level(policy={"kind": "http", "lexicon": {}}),
+        "http policy",
+        "unknown key 'lexicon'",
+        id="http-policy-lexicon-key",
+    ),
+    # inline data beside a path to the same data
+    pytest.param(
+        _with_bytes(
+            "kb.jsonl",
+            b'{"key": "q?", "answer": "a"}\n',
+            _sim_backend(kb_path="kb.jsonl"),
+        ),
+        "pool model #0",
+        "give kb or kb_path, not both",
+        id="kb-and-kb-path",
+    ),
+    pytest.param(
+        _with_bytes(
+            "script.json",
+            json.dumps(FILM_SCRIPT).encode(),
+            _top_level(
+                policy={
+                    "kind": "scripted",
+                    "script": FILM_SCRIPT,
+                    "script_path": "script.json",
+                }
+            ),
+        ),
+        "scripted policy",
+        "give script or script_path, not both",
+        id="script-and-script-path",
+    ),
+    # a context too long to pad a simulated reply to; refused at load time,
+    # so nothing this large is allocated
+    pytest.param(
+        _route_with(
+            lambda c: (
+                c.update(
+                    engine={
+                        "max_sequence_tokens": 10**19,
+                        "max_api_response_tokens": 10**19,
+                    }
+                ),
+                c["pool"]["models"][0]["backend"].update(verbosity=10**19),
+            )
+        ),
+        "engine",
+        f"max_sequence_tokens must be at most {MAX_SEQUENCE_TOKENS}",
+        id="sequence-tokens-over-bound",
+    ),
 ]
 
 
@@ -1750,6 +1826,117 @@ def test_error_lines_are_bounded(workdir, capsys, argv):
     assert code == 2
     assert err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+# Values that replace one leaf of a run config at a time: JSON's types at and
+# past their edges, a NUL and a lone surrogate ("\ud800" in the file).
+HOSTILE_VALUES = (
+    None, "", 0, -1, 1, True, False, 1e308, -1e308, 10**19, 10**30, 10**400,
+    0.5, [], {}, [1], {"a": 1}, "\u0000", "\ud800",
+)
+
+
+def _full_run_configs():
+    """A scripted and a params run config that set every section and field
+    and differ only in policy.  The second model reads its knowledge base
+    from ``kb.jsonl``."""
+    pool = _pool_mapping()
+    backend = pool["models"][1]["backend"]
+    del backend["kb"]
+    backend.update(kb_path="kb.jsonl", accuracy=1.0)
+    base = {
+        "pool": pool,
+        "engine": {
+            "max_routing_steps": 4,
+            "max_response_tokens": 512,
+            "max_sequence_tokens": 2048,
+            "max_api_response_tokens": 64,
+            "timeout_ms": 1000.0,
+        },
+        "lexicon": {
+            "think": ["<think>", "</think>"],
+            "route": ["<search>", "</search>"],
+            "info": ["<information>", "</information>"],
+            "answer": ["<answer>", "</answer>"],
+            "info_aliases": [["<info>", "</info>"]],
+        },
+        "reward": {
+            "alpha": 0.5,
+            "window_capacity": 100,
+            "epsilon": 1e-6,
+            "percentile_lo": 5.0,
+            "percentile_hi": 95.0,
+        },
+        "trainer": {
+            "learning_rate": 0.2,
+            "batch_size": 2,
+            "steps": 3,
+            "beta": 0.01,
+            "baseline_momentum": 0.9,
+            "seed": 1,
+            "feature_dim": 64,
+            "temperature": 1.0,
+        },
+        "seed": 3,
+        "eval_warmup_costs": [1.0, 2.0],
+    }
+    return [
+        {**base, "policy": {"kind": "scripted", "script": FILM_SCRIPT}},
+        {**base, "policy": {"kind": "params", "path": "params.json"}},
+    ]
+
+
+def _leaf_paths(value, path=()):
+    """The key path of every leaf of a JSON value; an empty container is a
+    leaf."""
+    if isinstance(value, dict) and value:
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = enumerate(value)
+    else:
+        return [path]
+    return [leaf for key, item in items for leaf in _leaf_paths(item, (*path, key))]
+
+
+def _replaced(config, path, value):
+    config = json.loads(json.dumps(config))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
+def test_every_hostile_leaf_runs_or_exits_2_with_one_line(workdir, capsys):
+    """Each leaf of a full run config, replaced by each hostile value, gives
+    `route` a run or one error line; `eval` gets a seeded sample of them."""
+    (workdir / "kb.jsonl").write_text(
+        json.dumps({"key": DENTAL_Q, "answer": "lamina dura"}) + "\n"
+    )
+    _with_params()(workdir)  # writes params.json
+    config_path = workdir / "mutant.json"
+    route = ["route", "--config", str(config_path), "--question", FILM_Q]
+    tasks = str(workdir / "tasks.jsonl")
+    evaluate = ["eval", "--config", str(config_path), "--tasks", tasks]
+    scripted, params = _full_run_configs()
+    # The two configs differ only in policy, so the params one adds its own.
+    leaves = [(scripted, path) for path in _leaf_paths(scripted)]
+    leaves += [(params, path) for path in _leaf_paths(params["policy"], ("policy",))]
+    mutants = [(c, path, value) for c, path in leaves for value in HOSTILE_VALUES]
+    rng = random.Random(17)
+    runs = [(route, mutant) for mutant in mutants]
+    runs += [(evaluate, mutant) for mutant in rng.sample(mutants, 100)]
+    exits = set()
+    for argv, (config, path, value) in runs:
+        config_path.write_text(json.dumps(_replaced(config, path, value)))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        case = f"{argv[0]} {path} = {value!r:.40}: exit {code}, stderr {err!r:.200}"
+        assert code in (0, 2), case
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), case
+        exits.add(code)
+    assert exits == {0, 2}
 
 
 def test_integer_price_bills_a_float_cost(workdir, capsys):
